@@ -7,7 +7,7 @@ unmixed sources.  See the README for the model, the solver, and the CLI.
 
 __version__ = "0.1.0"
 
-from .data import (Dataset, DatasetFormatError, TargetSchema, Trial,
+from .data import (Dataset, DatasetFormatError, TargetSchema,
                    concat_trials, load_dataset, preprocess, save_dataset)
 from .likelihood import (DENSITIES, SuperGaussianDensity, aux_exact,
                          aux_proximal, get_density, unsup_loss)

@@ -57,7 +57,7 @@ _OPTIONAL_INT_KEYS = {"batch_trials", "batch_times"}
 _OPTIONAL_FLOAT_KEYS = {"lipschitz_lm", "lipschitz_ltheta"}
 _BOOL_FIELD_KEYS = {"log_power"}
 _INT_FIELD_KEYS = {"iterations", "seed", "trace_every", "window", "hop"}
-_STR_FIELD_KEYS = {"density", "aux_mode", "optimizer", "update_order"}
+_STR_FIELD_KEYS = {"density", "aux_mode", "optimizer"}
 
 
 def _parse_value(key: str, raw: str):
@@ -109,6 +109,13 @@ def parse_config_file(path) -> dict:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
+        if key == "update_order":
+            # removed key that older config.resolved files carry; both of
+            # its values gave identical fits, so it is read and ignored
+            if raw.strip() not in ("theta_first", "aux_first"):
+                raise CliError(f"{path}:{lineno}: unknown update_order "
+                               f"{raw.strip()!r}")
+            continue
         if key not in _KEY_TO_FIELD and key not in _EXTRA_BOOL_KEYS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in opts:
@@ -190,8 +197,6 @@ def _load_run_inputs(args):
         opts["seed"] = args.seed
     if args.stochastic:
         opts["stochastic"] = True
-    if args.lemma1_order:
-        opts["update_order"] = "aux_first"
     if args.center:
         opts["preprocess_center"] = True
     if args.rescale:
@@ -460,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(one run per seed, concurrent)")
     p.add_argument("--stochastic", action="store_true",
                    help="minibatch mode (batch_trials/batch_times)")
-    p.add_argument("--lemma1-order", action="store_true",
-                   help="update aux weights before the heads each iteration")
     p.add_argument("--center", action="store_true",
                    help="subtract the global per-channel mean before fitting")
     p.add_argument("--rescale", action="store_true",

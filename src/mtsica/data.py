@@ -16,7 +16,7 @@ same dataset twice produces byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +80,6 @@ class TargetSchema:
                    int(d["n_classes"]) if "n_classes" in d else None)
 
 
-@dataclass(frozen=True)
-class Trial:
-    """One trial: a ``(C, T)`` signal and its ``(M,)`` label row."""
-
-    signal: np.ndarray
-    labels: np.ndarray
-
-
 def _own_readonly(x, dtype=np.float64) -> np.ndarray:
     # Private read-only float64 C-order array; copies only when the input
     # would otherwise stay writeable through the caller.
@@ -116,7 +108,6 @@ class Dataset:
     signals: np.ndarray
     labels: np.ndarray
     targets: tuple[TargetSchema, ...]
-    trials: tuple[Trial, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sig = _own_readonly(self.signals)
@@ -150,19 +141,6 @@ class Dataset:
         object.__setattr__(self, "signals", sig)
         object.__setattr__(self, "labels", lab)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(
-            self, "trials",
-            tuple(Trial(sig[i], lab[i]) for i in range(n)))
-
-    @classmethod
-    def from_trials(cls, trials, targets) -> "Dataset":
-        """Build a dataset by stacking per-trial (signal, labels) records."""
-        trials = list(trials)
-        if not trials:
-            raise ValueError("need at least one trial")
-        signals = np.stack([np.asarray(t.signal, dtype=np.float64) for t in trials])
-        labels = np.stack([np.asarray(t.labels, dtype=np.float64) for t in trials])
-        return cls(signals, labels, tuple(targets))
 
     @property
     def n_trials(self) -> int:

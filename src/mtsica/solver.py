@@ -1,8 +1,9 @@
 """Block-coordinate solver joining unmixing and supervised heads.
 
-One outer iteration, in the default order:
+One outer iteration is one straight pass over one gathered minibatch:
 
-1. draw the minibatch index sets (stochastic mode only);
+1. draw the minibatch index sets (stochastic mode only) and gather the
+   batch signals once;
 2. step every supervised head theta with its first-order rule, using the
    gradient of the mean supervised loss at the current W;
 3. refresh the auxiliary weights at the sampled (trial, time) entries
@@ -10,10 +11,10 @@ One outer iteration, in the default order:
 4. form the supervision coupling matrix B at the current W and new theta;
 5. sweep the rows of W cyclically, each row minimized in closed form.
 
-Steps 2 and 3 touch disjoint variables and neither reads the other's
-output, so their order is exchangeable; ``update_order`` flips it for
-side-by-side comparison and full-batch runs produce identical traces
-either way.
+Steps 2 and 4 share one feature forward per head: the features depend on
+W and the trials only, not on theta.  Steps 2 and 3 touch disjoint
+variables, neither reads the other's output, and the draws happen before
+either, so swapping them would give bit-identical fits.
 
 All randomness (initialization, minibatch draws) comes from one
 deterministic stream seeded by ``config.seed``, consumed in a documented
@@ -30,14 +31,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import supervision
 from .data import Dataset
 from .likelihood import aux_exact, aux_proximal, get_density
 from .linalg import spectral_norm
 from .metrics import amari_distance
 from .prng import Xoshiro256pp
 from .supervision import (FeatureMapConfig, SupervisedTargetModel,
-                          batch_loss_grads, init_model, make_optimizer,
-                          optimizer_step, param_lipschitz, source_lipschitz)
+                          batch_loss_grads, head_loss_grads, init_model,
+                          make_optimizer, optimizer_step, param_lipschitz,
+                          source_lipschitz)
 from .unmixing import (FactorizationError, UnmixingState, compute_B,
                        cyclic_sweep, make_a_provider)
 
@@ -76,7 +79,6 @@ class SolverConfig:
     log_eps: float = 1e-6
     u_max: float = 1e8
     init_scale: float = 0.01
-    update_order: str = "theta_first"
     lipschitz_lm: Optional[float] = None
     lipschitz_ltheta: Optional[float] = None
 
@@ -101,8 +103,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
-        if self.update_order not in ("theta_first", "aux_first"):
-            raise ValueError(f"unknown update_order {self.update_order!r}")
         for name in ("batch_trials", "batch_times"):
             v = getattr(self, name)
             if v is not None and v < 1:
@@ -305,7 +305,7 @@ def _fit(dataset, config, ground_truth, stochastic,
     full_trials = np.arange(n_trials)
     full_times = np.arange(samples)
     all_channels = np.arange(channels)
-    b_zero = np.zeros((channels, channels))
+    coupled = n_targets and config.lam > 0.0
 
     def record(k):
         trace.records.append(_snapshot(
@@ -322,40 +322,41 @@ def _fit(dataset, config, ground_truth, stochastic,
                 times_k = rng.subset(samples, batch_tau)
             else:
                 trials_k, times_k = full_trials, full_times
+            sub = z[trials_k]
+            sub_t = sub[:, :, times_k]
+            labels_k = labels[trials_k]
 
-            def theta_step():
-                for m, (model, opt) in enumerate(zip(models, optimizers)):
-                    sources = np.einsum("c,nct->nt", state.w[m], z[trials_k])
-                    _, _, grad = batch_loss_grads(
-                        model, sources, labels[trials_k, m], fm_cfg,
-                        need_grad_s=False)
-                    model.theta = optimizer_step(opt, model.theta, grad,
-                                                 config.mu)
+            grad_s = []
+            for m, (model, opt) in enumerate(zip(models, optimizers)):
+                phi, ctx = supervision._forward(
+                    np.einsum("c,nct->nt", state.w[m], sub), fm_cfg)
+                _, _, grad = head_loss_grads(model, phi, labels_k[:, m],
+                                             need_grad_phi=False)
+                model.theta = optimizer_step(opt, model.theta, grad,
+                                             config.mu)
+                if coupled:
+                    _, grad_phi, _ = head_loss_grads(
+                        model, phi, labels_k[:, m], need_grad_theta=False)
+                    grad_s.append(supervision._adjoint_from_ctx(
+                        ctx, grad_phi, samples, fm_cfg))
+            # each batch copy is released after its last read; in a full
+            # batch fit every one of them is the size of the dataset
+            del sub
 
-            def aux_step():
-                ix = np.ix_(trials_k, all_channels, times_k)
-                x_sub = np.einsum("cd,ndt->nct", state.w,
-                                  z[trials_k][:, :, times_k])
-                if config.aux_mode == "exact":
-                    aux[ix] = aux_exact(x_sub, density, config.u_max)
-                else:
-                    aux[ix] = aux_proximal(x_sub, aux[ix], config.eta_a,
-                                           density, config.u_max)
-
-            if config.update_order == "theta_first":
-                theta_step()
-                aux_step()
+            ix = np.ix_(trials_k, all_channels, times_k)
+            x_sub = np.einsum("cd,ndt->nct", state.w, sub_t)
+            if config.aux_mode == "exact":
+                aux_k = aux_exact(x_sub, density, config.u_max)
             else:
-                aux_step()
-                theta_step()
+                aux_k = aux_proximal(x_sub, aux[ix], config.eta_a,
+                                     density, config.u_max)
+            aux[ix] = aux_k
+            del x_sub
 
-            if n_targets and config.lam > 0.0:
-                b_mat = compute_B(state.w, models, fm_cfg, z, labels,
-                                  trials_k, times_k)
-            else:
-                b_mat = b_zero
-            a_of = make_a_provider(aux, z, trials_k, times_k)
+            b_mat = compute_B(grad_s, sub_t, times_k)
+            a_of = make_a_provider(aux_k, sub_t)
             state = cyclic_sweep(state, a_of, b_mat, config.eta_u, config.lam)
+            del sub_t, aux_k, a_of
             if state.logabsdet < _LOGDET_FLOOR_PER_CHANNEL * channels:
                 raise FactorizationError(
                     f"log|det W| collapsed to {state.logabsdet:.3g} "

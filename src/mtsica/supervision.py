@@ -165,6 +165,35 @@ def init_model(schema: TargetSchema, dim: int, rng: Xoshiro256pp,
         schema, scale * rng.normals(theta_shape(schema, dim)), weight_decay)
 
 
+def head_loss_grads(model: SupervisedTargetModel, phi: np.ndarray,
+                    labels: np.ndarray, need_grad_phi: bool = True,
+                    need_grad_theta: bool = True):
+    """Head half of :func:`batch_loss_grads`, at features ``phi`` (B, dim).
+
+    Returns the losses, the per-trial gradient in ``phi`` and the gradient
+    of the mean loss in theta.  Keeping one :func:`_forward` result lets a
+    caller step theta and then take the source gradient at the new theta.
+    """
+    b = phi.shape[0]
+    if model.kind == KIND_CONTINUOUS:
+        resid = phi @ model.theta - labels
+        losses = 0.5 * resid * resid
+        grad_theta = (phi.T @ resid) / b if need_grad_theta else None
+        grad_phi = (resid[:, None] * model.theta[None, :]
+                    if need_grad_phi else None)
+    else:
+        idx = labels.astype(np.int64)
+        logits = phi @ model.theta.T
+        peak = logits.max(axis=1, keepdims=True)
+        lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
+        losses = lse - logits[np.arange(b), idx]
+        p = np.exp(logits - lse[:, None])
+        p[np.arange(b), idx] -= 1.0
+        grad_theta = (p.T @ phi) / b if need_grad_theta else None
+        grad_phi = p @ model.theta if need_grad_phi else None
+    return losses, grad_phi, grad_theta
+
+
 def batch_loss_grads(model: SupervisedTargetModel, batch: np.ndarray,
                      labels: np.ndarray, cfg: FeatureMapConfig,
                      need_grad_s: bool = True, need_grad_theta: bool = True):
@@ -186,24 +215,10 @@ def batch_loss_grads(model: SupervisedTargetModel, batch: np.ndarray,
         Gradient of the *mean* batch loss in theta.
     """
     batch = np.atleast_2d(batch)
-    b, t = batch.shape
     phi, ctx = _forward(batch, cfg)
-    if model.kind == KIND_CONTINUOUS:
-        resid = phi @ model.theta - labels
-        losses = 0.5 * resid * resid
-        grad_theta = (phi.T @ resid) / b if need_grad_theta else None
-        grad_phi = resid[:, None] * model.theta[None, :] if need_grad_s else None
-    else:
-        idx = labels.astype(np.int64)
-        logits = phi @ model.theta.T
-        peak = logits.max(axis=1, keepdims=True)
-        lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
-        losses = lse - logits[np.arange(b), idx]
-        p = np.exp(logits - lse[:, None])
-        p[np.arange(b), idx] -= 1.0
-        grad_theta = (p.T @ phi) / b if need_grad_theta else None
-        grad_phi = p @ model.theta if need_grad_s else None
-    grad_s = (_adjoint_from_ctx(ctx, grad_phi, t, cfg)
+    losses, grad_phi, grad_theta = head_loss_grads(
+        model, phi, labels, need_grad_s, need_grad_theta)
+    grad_s = (_adjoint_from_ctx(ctx, grad_phi, batch.shape[1], cfg)
               if need_grad_s else None)
     return losses, grad_s, grad_theta
 

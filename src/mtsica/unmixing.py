@@ -93,17 +93,16 @@ def compute_A_c(u_c: np.ndarray, signals: np.ndarray, trials: np.ndarray,
     return (flat * weights) @ flat.T / (n * tau)
 
 
-def make_a_provider(u: np.ndarray, signals: np.ndarray, trials: np.ndarray,
-                    times: np.ndarray):
-    """Return ``c -> A_c`` sharing one gather of the minibatch signals.
+def make_a_provider(u_sub: np.ndarray, sub: np.ndarray):
+    """Return ``c -> A_c`` for one gathered (mini)batch.
 
-    A_c matrices are recomputed per row and never stored as a set; this
-    keeps peak memory at one C x C matrix plus the gathered batch.
+    ``sub`` is the batch ``z[trials][:, :, times]`` of shape (n, C, tau)
+    and ``u_sub`` its auxiliary weights, same shape.  A_c matrices are
+    recomputed per row and never stored as a set; this keeps peak memory
+    at one C x C matrix plus the batch.
     """
-    sub = signals[trials][:, :, times]
     n, c, tau = sub.shape
     flat = sub.transpose(1, 0, 2).reshape(c, n * tau)
-    u_sub = u[trials][:, :, times]
 
     def a_of(comp: int) -> np.ndarray:
         weights = u_sub[:, comp, :].reshape(n * tau)
@@ -112,9 +111,7 @@ def make_a_provider(u: np.ndarray, signals: np.ndarray, trials: np.ndarray,
     return a_of
 
 
-def compute_B(w: np.ndarray, models, fm_cfg, signals: np.ndarray,
-              labels: np.ndarray, trials: np.ndarray,
-              times: np.ndarray) -> np.ndarray:
+def compute_B(grad_s, sub: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Supervised coupling matrix; row m drives the update of W row m.
 
     Row m is the minibatch estimate of the gradient of the mean supervised
@@ -123,27 +120,18 @@ def compute_B(w: np.ndarray, models, fm_cfg, signals: np.ndarray,
         B[m] = (1/n) * sum_{i in trials} (T/tau) *
                sum_{t in times} d loss_m / d s_t * z_i[:, t]^T
 
-    The source-gradient is computed on the *full* time axis (the feature
-    windows couple all samples) and then subsampled; the T/tau factor
-    makes the estimator unbiased in the time draw.  Rows beyond the number
-    of targets are zero.  The supervision weight lam is *not* folded in
-    here; it enters in the row objective.
+    ``grad_s[m]``, shape (n, T), is that source gradient for the batch
+    trials on the *full* time axis (the feature windows couple all
+    samples); ``sub`` is the batch ``z[trials][:, :, times]``, shape
+    (n, C, tau).  The T/tau factor makes the estimator unbiased in the
+    time draw.  Rows beyond ``len(grad_s)`` are zero.  The supervision
+    weight lam is *not* folded in here; it enters in the row objective.
     """
-    from .supervision import batch_loss_grads  # local import, no cycle
-
-    c = w.shape[0]
+    n, c, tau = sub.shape
     b_mat = np.zeros((c, c))
-    if not models:
-        return b_mat
-    sub = signals[trials]                       # (n, C, T)
-    n, _, t_full = sub.shape
-    tau = len(times)
-    for m, model in enumerate(models):
-        sources = np.einsum("c,nct->nt", w[m], sub)
-        _, grad_s, _ = batch_loss_grads(
-            model, sources, labels[trials, m], fm_cfg, need_grad_theta=False)
-        b_mat[m] = (t_full / tau) * np.einsum(
-            "nt,nct->c", grad_s[:, times], sub[:, :, times]) / n
+    for m, grad in enumerate(grad_s):
+        b_mat[m] = (grad.shape[1] / tau) * np.einsum(
+            "nt,nct->c", grad[:, times], sub) / n
     return b_mat
 
 

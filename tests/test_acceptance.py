@@ -312,8 +312,16 @@ def test_7_minibatch_estimators_are_unbiased():
     labels = rng.normal(size=(4, 1))
     model = SupervisedTargetModel(CONT, rng.normal(size=fm.dim(4)), 0.0)
     w = np.eye(2) + 0.2 * rng.normal(size=(2, 2))
-    want = compute_B(w, [model], fm, z, labels, full_tr, full_tm)
-    got = np.mean([compute_B(w, [model], fm, z, labels, tr, tm)
+
+    def coupling(tr, tm):
+        sub = z[tr]
+        src = np.einsum("c,nct->nt", w[0], sub)
+        _, grad_s, _ = batch_loss_grads(model, src, labels[tr, 0], fm,
+                                        need_grad_theta=False)
+        return compute_B([grad_s], sub[:, :, tm], tm)
+
+    want = coupling(full_tr, full_tm)
+    got = np.mean([coupling(tr, tm)
                    for tr in tr_subsets for tm in tm_subsets], axis=0)
     err_b = float(np.max(np.abs(got - want)))
     assert err_b < 1e-12

@@ -139,6 +139,12 @@ def test_fit_resolved_config_round_trips(tmp_path):
     assert opts["batch_trials"] == 2
     assert opts["iterations"] == 2
     assert opts["stochastic"] is False
+    # files written before update_order was removed still load and fit
+    old = write_cfg(tmp_path / "old", (out / "config.resolved").read_text()
+                    .splitlines() + ["update_order=aux_first"])
+    again = tmp_path / "again"
+    assert run(["fit", "--data", d, "--config", old, "--out", again]) == 0
+    assert filecmp.cmp(out / "W.f64", again / "W.f64", shallow=False)
 
 
 def test_fit_supervised_with_flag_overrides(tmp_path):
@@ -187,6 +193,11 @@ def test_fit_rejects_malformed_configs(tmp_path, capsys):
     assert run(["fit", "--data", d, "--config", bad_cfg,
                 "--out", tmp_path / "o4"]) == 2
     assert "invalid configuration" in capsys.readouterr().err
+    bad_order = write_cfg(tmp_path / "u", ["update_order=w_first"])
+    assert run(["fit", "--data", d, "--config", bad_order,
+                "--out", tmp_path / "o5"]) == 2
+    assert run(["fit", "--data", d, "--out", tmp_path / "o6",
+                "--lemma1-order"]) == 2
 
 
 def test_fit_numerical_abort_flushes_partial_outputs(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtsica.data import (Dataset, DatasetFormatError, TargetSchema, Trial,
+from mtsica.data import (Dataset, DatasetFormatError, TargetSchema,
                          concat_trials, load_dataset, preprocess,
                          read_matrix_f64, save_dataset, write_matrix_f64,
                          write_matrix_text)
@@ -97,12 +97,6 @@ def test_dataset_arrays_are_read_only_views():
     ds = tiny_dataset()
     with pytest.raises(ValueError):
         ds.signals[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        ds.trials[0].signal[0, 0] = 1.0
-    # the trial views alias the stacked array
-    assert np.shares_memory(ds.trials[1].signal, ds.signals)
-    assert np.array_equal(ds.trials[2].signal, ds.signals[2])
-    assert np.array_equal(ds.trials[2].labels, ds.labels[2])
 
 
 def test_dataset_does_not_mutate_caller_array():
@@ -112,15 +106,6 @@ def test_dataset_does_not_mutate_caller_array():
     assert sig.flags.writeable          # caller's array untouched
     assert np.array_equal(sig, before)
     assert not ds.signals.flags.writeable
-
-
-def test_from_trials_matches_direct_construction():
-    ds = tiny_dataset()
-    rebuilt = Dataset.from_trials(
-        [Trial(t.signal, t.labels) for t in ds.trials], ds.targets)
-    assert np.array_equal(rebuilt.signals, ds.signals)
-    assert np.array_equal(rebuilt.labels, ds.labels)
-    assert rebuilt.targets == ds.targets
 
 
 def test_dimension_properties():

@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 
 from mtsica.data import Dataset, TargetSchema
+from mtsica.likelihood import aux_exact, aux_proximal, get_density
+from mtsica.metrics import amari_distance
 from mtsica.prng import Xoshiro256pp
 from mtsica.solver import (SolverAbort, SolverConfig, Trace,
                            _draw_invertible_init, compute_rate_guards,
                            fit_full_batch, fit_stochastic)
 from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
-                                init_model)
+                                batch_loss_grads, init_model, make_optimizer,
+                                optimizer_step)
 from mtsica.synthgen import gen_dataset
+from mtsica.unmixing import compute_A_c, cyclic_sweep
 
 FM16 = FeatureMapConfig(window=16, hop=8)
 # log-compressed features keep label magnitudes O(10); raw powers at this
@@ -48,8 +52,8 @@ def test_config_validation():
                 dict(density="cauchy"), dict(aux_mode="implicit"),
                 dict(optimizer="rmsprop"), dict(beta1=1.0),
                 dict(beta2=-0.1), dict(trace_every=0), dict(u_max=0.0),
-                dict(update_order="w_first"), dict(batch_trials=0),
-                dict(batch_times=-3), dict(log_eps=0.0)]:
+                dict(batch_trials=0), dict(batch_times=-3),
+                dict(log_eps=0.0)]:
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     cfg = SolverConfig(eta_u=np.inf, iterations=0)   # both explicitly legal
@@ -150,6 +154,84 @@ def test_full_size_minibatches_reproduce_full_batch():
     assert np.array_equal(full.models[0].theta, sto.models[0].theta)
 
 
+@pytest.mark.parametrize("aux_mode", ["exact", "proximal"])
+def test_stochastic_fit_matches_reference_loop(aux_mode):
+    # the documented iteration rebuilt from the unit-tested pieces must
+    # reproduce the solver bit for bit
+    ds, mixing = small_sup(n=6, m=2)
+    cfg = sup_config(iterations=3, batch_trials=3, batch_times=32, seed=5,
+                     lam=1e-3, mu=0.1, eta_p=1e-3, optimizer="adamw",
+                     aux_mode=aux_mode, eta_a=0.5)
+    res = fit_stochastic(ds, cfg, ground_truth=mixing)
+
+    z, labels = ds.signals, ds.labels
+    n_all, c_dim, t_all = z.shape
+    density = get_density(cfg.density)
+    rng = Xoshiro256pp(cfg.seed)
+    state = _draw_invertible_init(rng, c_dim, cfg.init_scale)
+    models = [init_model(s, FM16L.dim(t_all), rng, cfg.init_scale, cfg.mu)
+              for s in ds.targets]
+    opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta, cfg.beta1,
+                           cfg.beta2, cfg.eps) for m in models]
+    aux = aux_exact(np.einsum("cd,ndt->nct", state.w, z), density,
+                    cfg.u_max)
+
+    def snapshot(k):
+        x = np.einsum("cd,ndt->nct", state.w, z)
+        loss_sup = 0.0
+        for m, model in enumerate(models):
+            losses, _, _ = batch_loss_grads(model, x[:, m, :], labels[:, m],
+                                            FM16L, need_grad_s=False,
+                                            need_grad_theta=False)
+            loss_sup += float(losses.sum() / n_all)
+        bound = 0.5 * aux * x * x + density.f(aux)
+        f_value = float(-state.logabsdet + bound.sum() / (n_all * t_all)
+                        + cfg.lam * loss_sup + 0.5 * cfg.mu * sum(
+                            float(np.sum(m.theta ** 2)) for m in models))
+        loss_unsup = float(-state.logabsdet
+                           + density.g(x).sum() / (n_all * t_all))
+        return (k, loss_unsup, loss_sup, f_value,
+                float(amari_distance(state.w, mixing)))
+
+    want = [snapshot(0)]
+    for k in range(1, cfg.iterations + 1):
+        trials = rng.subset(n_all, cfg.batch_trials)
+        times = rng.subset(t_all, cfg.batch_times)
+        sources = [np.einsum("c,nct->nt", state.w[m], z[trials])
+                   for m in range(len(models))]
+        for m, (model, opt) in enumerate(zip(models, opts)):
+            _, _, grad = batch_loss_grads(model, sources[m],
+                                          labels[trials, m], FM16L,
+                                          need_grad_s=False)
+            model.theta = optimizer_step(opt, model.theta, grad, cfg.mu)
+        ix = np.ix_(trials, np.arange(c_dim), times)
+        x_sub = np.einsum("cd,ndt->nct", state.w, z[trials][:, :, times])
+        if aux_mode == "exact":
+            aux[ix] = aux_exact(x_sub, density, cfg.u_max)
+        else:
+            aux[ix] = aux_proximal(x_sub, aux[ix], cfg.eta_a, density,
+                                   cfg.u_max)
+        b_mat = np.zeros((c_dim, c_dim))
+        for m, model in enumerate(models):
+            _, grad_s, _ = batch_loss_grads(model, sources[m],
+                                            labels[trials, m], FM16L,
+                                            need_grad_theta=False)
+            b_mat[m] = (t_all / len(times)) * np.einsum(
+                "nt,nct->c", grad_s[:, times],
+                z[trials][:, :, times]) / len(trials)
+        a_set = [compute_A_c(aux[:, c, :], z, trials, times)
+                 for c in range(c_dim)]
+        state = cyclic_sweep(state, a_set, b_mat, cfg.eta_u, cfg.lam)
+        want.append(snapshot(k))
+
+    assert np.array_equal(res.w_state.w, state.w)
+    for got_model, want_model in zip(res.models, models):
+        assert np.array_equal(got_model.theta, want_model.theta)
+    got = [(r.k, r.loss_unsup, r.loss_sup, r.f_value, r.amari)
+           for r in res.trace.records]
+    assert np.array_equal(np.array(got), np.array(want))
+
+
 def test_minibatch_larger_than_dataset_rejected():
     ds, _ = small_sup(n=4)
     with pytest.raises(ValueError):
@@ -203,7 +285,6 @@ def test_objective_snapshot_matches_independent_assembly():
                       aux.copy())
 
     res = fit_full_batch(ds, cfg, _iter_hook=hook)
-    from mtsica.supervision import batch_loss_grads
     for rec in res.trace.records:
         w, thetas, u = grabbed[rec.k]
         n, _, t = ds.signals.shape
@@ -217,14 +298,6 @@ def test_objective_snapshot_matches_independent_assembly():
         val += cfg.lam * float(losses.sum() / n)
         val += 0.5 * cfg.mu * float(np.sum(thetas[0] ** 2))
         assert rec.f_value == pytest.approx(val, rel=1e-10)
-
-
-def test_update_order_is_immaterial_in_full_batch():
-    ds, _ = small_sup()
-    a = fit_full_batch(ds, sup_config(update_order="theta_first"))
-    b = fit_full_batch(ds, sup_config(update_order="aux_first"))
-    assert np.array_equal(a.w_state.w, b.w_state.w)
-    assert np.array_equal(a.models[0].theta, b.models[0].theta)
 
 
 def test_huber_has_no_closed_objective():

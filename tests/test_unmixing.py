@@ -87,7 +87,7 @@ def test_a_provider_matches_direct_computation():
     u = rng.uniform(0.1, 2.0, size=(4, 3, 7))
     trials = np.array([1, 3])
     times = np.array([0, 2, 5])
-    a_of = make_a_provider(u, z, trials, times)
+    a_of = make_a_provider(u[trials][:, :, times], z[trials][:, :, times])
     for c in range(3):
         want = compute_A_c(u[:, c, :], z, trials, times)
         assert np.array_equal(a_of(c), want)
@@ -107,10 +107,21 @@ def test_a_c_subset_average_is_unbiased():
 
 # --- supervised coupling matrix ---
 
+def coupling(w, models, cfg, z, labels, trials, times):
+    """B as the solver forms it: gather the batch, take each head's source
+    gradient on the full time axis, contract with the time subset."""
+    sub = z[trials]
+    grad_s = [batch_loss_grads(model, np.einsum("c,nct->nt", w[m], sub),
+                               labels[trials, m], cfg,
+                               need_grad_theta=False)[1]
+              for m, model in enumerate(models)]
+    return compute_B(grad_s, sub[:, :, times], times)
+
+
 def test_b_empty_models_is_zero():
     z = np.random.default_rng(5).normal(size=(2, 3, 8))
-    b = compute_B(np.eye(3), [], None, z, np.zeros((2, 0)),
-                  full_idx(2), full_idx(8))
+    b = coupling(np.eye(3), [], None, z, np.zeros((2, 0)),
+                 full_idx(2), full_idx(8))
     assert np.array_equal(b, np.zeros((3, 3)))
 
 
@@ -121,8 +132,8 @@ def test_b_rows_beyond_targets_are_zero():
     labels = rng.normal(size=(3, 1))
     model = SupervisedTargetModel(TargetSchema("y", "continuous"),
                                   rng.normal(size=cfg.dim(16)), 0.0)
-    b = compute_B(np.eye(4), [model], cfg, z, labels,
-                  full_idx(3), full_idx(16))
+    b = coupling(np.eye(4), [model], cfg, z, labels,
+                 full_idx(3), full_idx(16))
     assert np.any(b[0] != 0.0)
     assert np.array_equal(b[1:], np.zeros((3, 4)))
 
@@ -132,8 +143,8 @@ def test_b_zero_theta_zero_label_is_zero():
     z = np.random.default_rng(7).normal(size=(2, 2, 16))
     model = SupervisedTargetModel(TargetSchema("y", "continuous"),
                                   np.zeros(cfg.dim(16)), 0.0)
-    b = compute_B(np.eye(2), [model], cfg, z, np.zeros((2, 1)),
-                  full_idx(2), full_idx(16))
+    b = coupling(np.eye(2), [model], cfg, z, np.zeros((2, 1)),
+                 full_idx(2), full_idx(16))
     assert np.max(np.abs(b)) < 1e-15
 
 
@@ -145,7 +156,7 @@ def test_b_is_gradient_of_mean_loss_in_w_row():
     model = SupervisedTargetModel(TargetSchema("y", "continuous"),
                                   0.5 * rng.normal(size=cfg.dim(16)), 0.0)
     w = np.eye(2) + 0.1 * rng.normal(size=(2, 2))
-    b = compute_B(w, [model], cfg, z, labels, full_idx(3), full_idx(16))
+    b = coupling(w, [model], cfg, z, labels, full_idx(3), full_idx(16))
 
     def mean_loss(row):
         src = np.einsum("c,nct->nt", row, z)
@@ -170,9 +181,9 @@ def test_b_time_subset_average_is_unbiased():
     model = SupervisedTargetModel(TargetSchema("y", "continuous"),
                                   rng.normal(size=cfg.dim(8)), 0.0)
     w = np.eye(2) + 0.2 * rng.normal(size=(2, 2))
-    want = compute_B(w, [model], cfg, z, labels, full_idx(2), full_idx(8))
+    want = coupling(w, [model], cfg, z, labels, full_idx(2), full_idx(8))
     subs = [np.array(s) for s in combinations(range(8), 3)]
-    got = np.mean([compute_B(w, [model], cfg, z, labels, full_idx(2), s)
+    got = np.mean([coupling(w, [model], cfg, z, labels, full_idx(2), s)
                    for s in subs], axis=0)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -308,7 +319,7 @@ def test_sweep_converges_then_stalls():
     rng = np.random.default_rng(16)
     z = rng.normal(size=(3, 3, 50))
     u = np.ones((3, 3, 50))
-    a_of = make_a_provider(u, z, full_idx(3), full_idx(50))
+    a_of = make_a_provider(u, z)
     st = UnmixingState.from_matrix(np.eye(3))
     for _ in range(400):
         st = cyclic_sweep(st, a_of, np.zeros((3, 3)), np.inf, 0.0)
