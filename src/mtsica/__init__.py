@@ -17,9 +17,9 @@ from .solver import (FitResult, RateGuards, SolverAbort, SolverConfig, Trace,
                      TraceRecord, compute_rate_guards, fit_full_batch,
                      fit_stochastic)
 from .supervision import (FeatureMapConfig, OptimizerState,
-                          SupervisedTargetModel, feature_adjoint, feature_map,
-                          feature_map_batch, init_model, loss_and_grads,
-                          make_optimizer, optimizer_step, predict_batch)
+                          SupervisedTargetModel, feature_map_batch,
+                          init_model, make_optimizer, optimizer_step,
+                          predict_batch)
 from .synthgen import (RECIPES, gen_dataset, gen_gaussian_mixing,
                        gen_hilbert_mixing, gen_laplace_sources,
                        gen_regression_targets)

@@ -7,8 +7,9 @@ Subcommands::
     mtsica eval      Amari against ground truth, or holdout prediction
     mtsica baseline  FOBI per-trial or on concatenated trials
 
-Exit codes: 0 success, 2 usage or file-format problems, 3 numerical abort
-(the partial trace is still flushed).  All randomness derives from
+Exit codes: 0 success, 2 usage, config or file-format problems (a config
+is checked against the dataset before the first iteration), 3 numerical
+abort (the partial trace is still flushed).  All randomness derives from
 ``--seed``; two invocations with identical arguments produce byte-identical
 outputs (pass ``--timing`` to record wall-clock times in the trace, which
 naturally breaks that).
@@ -21,22 +22,23 @@ import concurrent.futures
 import math
 import os
 import sys
-from dataclasses import fields as dc_fields
+import typing
+from dataclasses import replace
 from pathlib import Path
+from typing import Literal, Optional, Union
 
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, DatasetFormatError, load_dataset, preprocess,
-                   read_matrix_f64, save_dataset, write_matrix_f64,
-                   write_matrix_text)
+from .data import (Dataset, DatasetFormatError, concat_trials, load_dataset,
+                   preprocess, read_matrix_f64, save_dataset,
+                   write_matrix_f64, write_matrix_text)
 from .metrics import amari_distance, evaluate_predictions, fobi
-from .solver import (FitResult, SolverAbort, SolverConfig, fit_full_batch,
+from .solver import (SolverAbort, SolverConfig, check_inputs, fit_full_batch,
                      fit_stochastic)
 from .supervision import (FeatureMapConfig, SupervisedTargetModel,
                           theta_shape)
 from .synthgen import RECIPES, gen_dataset
-from .data import concat_trials
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,45 +51,48 @@ class CliError(Exception):
 
 # --- flat key=value config files ----------------------------------------
 
-_SOLVER_FIELDS = {f.name: f for f in dc_fields(SolverConfig)}
+_FIELD_TYPES = typing.get_type_hints(SolverConfig)
 # file keys mirror SolverConfig fields, except 'lambda' (Python keyword)
-_KEY_TO_FIELD = {("lambda" if f == "lam" else f): f for f in _SOLVER_FIELDS}
-_EXTRA_BOOL_KEYS = ("stochastic", "preprocess_center", "preprocess_rescale")
-_OPTIONAL_INT_KEYS = {"batch_trials", "batch_times"}
-_OPTIONAL_FLOAT_KEYS = {"lipschitz_lm", "lipschitz_ltheta"}
-_BOOL_FIELD_KEYS = {"log_power"}
-_INT_FIELD_KEYS = {"iterations", "seed", "trace_every", "window", "hop"}
-_STR_FIELD_KEYS = {"density", "aux_mode", "optimizer"}
+_KEY_TO_FIELD = {("lambda" if f == "lam" else f): f for f in _FIELD_TYPES}
+# run-level switches, read by both fit and eval --run
+_RUN_KEYS = ("stochastic", "preprocess_center", "preprocess_rescale")
+# keys of removed options that older config.resolved files carry; each is
+# still checked against its old type, then ignored
+_RETIRED_KEYS = {
+    "lipschitz_lm": Optional[float],
+    "lipschitz_ltheta": Optional[float],
+    "update_order": Literal["theta_first", "aux_first"],
+}
+_KEY_TYPES = {**{k: _FIELD_TYPES[f] for k, f in _KEY_TO_FIELD.items()},
+              **dict.fromkeys(_RUN_KEYS, bool), **_RETIRED_KEYS}
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    field = _KEY_TO_FIELD.get(key)
-    if key in _EXTRA_BOOL_KEYS or field in _BOOL_FIELD_KEYS:
+    kind = _KEY_TYPES[key]
+    if typing.get_origin(kind) is Union:  # Optional[...]
+        if raw.lower() == "none":
+            return None
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is Literal:
+        if raw not in typing.get_args(kind):
+            raise CliError(f"config key {key}: expected one of "
+                           f"{', '.join(typing.get_args(kind))}, got {raw!r}")
+        return raw
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise CliError(f"config key {key}: expected a boolean, got {raw!r}")
-    if field in _OPTIONAL_INT_KEYS or field in _OPTIONAL_FLOAT_KEYS:
-        if raw.lower() == "none":
-            return None
-        caster = int if field in _OPTIONAL_INT_KEYS else float
-        try:
-            return caster(raw)
-        except ValueError:
-            raise CliError(f"config key {key}: bad value {raw!r}") from None
-    if field in _INT_FIELD_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise CliError(f"config key {key}: expected an integer, got {raw!r}") from None
-    if field in _STR_FIELD_KEYS:
+    if kind is str:
         return raw
     try:
-        return float(raw)  # remaining solver fields are floats; inf allowed
+        return kind(raw)  # int or float; float accepts inf
     except ValueError:
-        raise CliError(f"config key {key}: expected a number, got {raw!r}") from None
+        expected = "an integer" if kind is int else "a number"
+        raise CliError(f"config key {key}: expected {expected}, "
+                       f"got {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -109,18 +114,13 @@ def parse_config_file(path) -> dict:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key == "update_order":
-            # removed key that older config.resolved files carry; both of
-            # its values gave identical fits, so it is read and ignored
-            if raw.strip() not in ("theta_first", "aux_first"):
-                raise CliError(f"{path}:{lineno}: unknown update_order "
-                               f"{raw.strip()!r}")
-            continue
-        if key not in _KEY_TO_FIELD and key not in _EXTRA_BOOL_KEYS:
+        if key not in _KEY_TYPES:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in opts:
             raise CliError(f"{path}:{lineno}: duplicate config key {key!r}")
         opts[key] = _parse_value(key, raw)
+    for key in _RETIRED_KEYS:
+        opts.pop(key, None)
     return opts
 
 
@@ -150,6 +150,18 @@ def build_solver_config(opts: dict) -> SolverConfig:
         return SolverConfig(**kwargs)
     except ValueError as e:
         raise CliError(f"invalid configuration: {e}") from e
+
+
+def _read_run_options(opts: dict, dataset: Dataset):
+    """``(config, extras, dataset)`` of a parsed option dict: the solver
+    config, the run-level switches (absent ones are off) and the dataset
+    with the preprocessing switches applied."""
+    config = build_solver_config(opts)
+    extras = {k: bool(opts.get(k, False)) for k in _RUN_KEYS}
+    if extras["preprocess_center"] or extras["preprocess_rescale"]:
+        dataset, _ = preprocess(dataset, center=extras["preprocess_center"],
+                                rescale=extras["preprocess_rescale"])
+    return config, extras, dataset
 
 
 # --- subcommand implementations -----------------------------------------
@@ -201,12 +213,7 @@ def _load_run_inputs(args):
         opts["preprocess_center"] = True
     if args.rescale:
         opts["preprocess_rescale"] = True
-    extras = {
-        "stochastic": bool(opts.pop("stochastic", False)),
-        "preprocess_center": bool(opts.pop("preprocess_center", False)),
-        "preprocess_rescale": bool(opts.pop("preprocess_rescale", False)),
-    }
-    config = build_solver_config(opts)
+    config, extras, dataset = _read_run_options(opts, dataset)
 
     gt_path = args.ground_truth
     if gt_path is None:
@@ -219,16 +226,22 @@ def _load_run_inputs(args):
             ground_truth = read_matrix_f64(gt_path)
         except (DatasetFormatError, OSError) as e:
             raise CliError(f"bad mixing file {gt_path}: {e}") from e
+    _check_inputs(args.data, dataset, config, extras["stochastic"],
+                  ground_truth)
     return dataset, config, extras, ground_truth
+
+
+def _check_inputs(data_path, dataset, config, stochastic, ground_truth=None):
+    try:
+        check_inputs(dataset, config, stochastic, ground_truth)
+    except ValueError as e:
+        raise CliError(f"invalid configuration for {data_path}: {e}") from e
 
 
 def _run_single_fit(dataset, config, extras, ground_truth, out_dir,
                     timing: bool):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if extras["preprocess_center"] or extras["preprocess_rescale"]:
-        dataset, _ = preprocess(dataset, center=extras["preprocess_center"],
-                                rescale=extras["preprocess_rescale"])
     runner = fit_stochastic if extras["stochastic"] else fit_full_batch
     lines = resolved_config_lines(config, extras)
     try:
@@ -291,7 +304,7 @@ def cmd_fit(args) -> int:
     failures = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {
-            pool.submit(_run_single_fit, dataset, config.with_seed(s),
+            pool.submit(_run_single_fit, dataset, replace(config, seed=s),
                         extras, ground_truth,
                         Path(args.out) / f"seed_{s}", args.timing): s
             for s in seeds}
@@ -366,15 +379,12 @@ def cmd_eval(args) -> int:
     resolved = run / "config.resolved"
     if not resolved.is_file():
         raise CliError(f"{run} has no config.resolved (not a fit output?)")
-    opts = parse_config_file(resolved)
-    extras = {k: bool(opts.pop(k, False)) for k in _EXTRA_BOOL_KEYS}
-    config = build_solver_config(opts)
-    if extras["preprocess_center"] or extras["preprocess_rescale"]:
-        dataset, _ = preprocess(dataset, center=extras["preprocess_center"],
-                                rescale=extras["preprocess_rescale"])
+    config, extras, dataset = _read_run_options(parse_config_file(resolved),
+                                                dataset)
     w = _read_matrix_checked(run / "W.f64")
     if w.shape != (dataset.channels, dataset.channels):
         raise CliError("W.f64 does not match the dataset channel count")
+    _check_inputs(args.data, dataset, config, stochastic=False)
     fm_cfg = config.feature_config
     models = []
     for m, schema in enumerate(dataset.targets):

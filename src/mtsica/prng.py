@@ -198,19 +198,6 @@ class Xoshiro256ppStreams:
     def _open_unit(self) -> np.ndarray:
         return ((self.next_u64() >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
-    def normal_block(self, count: int) -> np.ndarray:
-        """Per-stream standard normals; returns ``(n_streams, count)``."""
-        n_pairs = (count + 1) // 2
-        out = np.empty((self.n_streams, n_pairs * 2))
-        for j in range(n_pairs):
-            u1 = self._open_unit()
-            u2 = self._open_unit()
-            r = np.sqrt(-2.0 * np.log1p(-u1))
-            a = 2.0 * np.pi * u2
-            out[:, 2 * j] = r * np.cos(a)
-            out[:, 2 * j + 1] = r * np.sin(a)
-        return out[:, :count]
-
     def laplace_block(self, count: int) -> np.ndarray:
         """Per-stream Laplace(0, 1) draws; returns ``(n_streams, count)``."""
         out = np.empty((self.n_streams, count))

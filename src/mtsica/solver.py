@@ -26,14 +26,16 @@ with the same data, config, and seed are bit-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import supervision
 from .data import Dataset
-from .likelihood import aux_exact, aux_proximal, get_density
+from .likelihood import (aux_exact, aux_proximal, get_density,
+                         variational_value)
 from .linalg import spectral_norm
 from .metrics import amari_distance
 from .prng import Xoshiro256pp
@@ -53,8 +55,9 @@ class SolverConfig:
 
     ``batch_trials``/``batch_times`` of ``None`` mean the full dataset;
     they only take effect in stochastic mode.  ``eta_u`` may be ``inf``
-    (no proximal tie on W).  ``lipschitz_lm``/``lipschitz_ltheta``
-    override the estimated smoothness constants in the rate guards.
+    (no proximal tie on W).  Construction rejects every value that is
+    invalid on its own; :func:`check_inputs` rejects those that do not
+    fit a dataset.
     """
 
     iterations: int = 1000
@@ -79,23 +82,24 @@ class SolverConfig:
     log_eps: float = 1e-6
     u_max: float = 1e8
     init_scale: float = 0.01
-    lipschitz_lm: Optional[float] = None
-    lipschitz_ltheta: Optional[float] = None
 
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if not self.eta_u > 0.0:
             raise ValueError("eta_u must be positive (inf allowed)")
-        for name in ("eta_p", "eta_a", "u_max", "log_eps"):
+        for name in ("eta_p", "eta_a", "u_max", "eps"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("lam", "mu"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        get_density(self.density)
+        density = get_density(self.density)
         if self.aux_mode not in ("exact", "proximal"):
             raise ValueError(f"unknown aux_mode {self.aux_mode!r}")
+        if self.aux_mode == "proximal" and not density.has_f:
+            raise ValueError(f"aux_mode proximal needs a closed-form f; "
+                             f"density {self.density!r} has none")
         if self.optimizer not in ("sgd_wd", "adamw"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for name in ("beta1", "beta2"):
@@ -107,14 +111,12 @@ class SolverConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1 when set")
+        self.feature_config  # built once here; checks window, hop, log_eps
 
-    @property
+    @cached_property
     def feature_config(self) -> FeatureMapConfig:
         return FeatureMapConfig(self.window, self.hop,
                                 self.log_power, self.log_eps)
-
-    def with_seed(self, seed: int) -> "SolverConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,6 @@ class Trace:
     """
 
     records: list = field(default_factory=list)
-    f_available: bool = True
 
     HEADER = "k,loss_unsup,loss_sup,F,amari,wall_ms"
 
@@ -267,9 +268,34 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
                 iter_hook=_iter_hook)
 
 
+def check_inputs(dataset: Dataset, config: SolverConfig, stochastic: bool,
+                 ground_truth: Optional[np.ndarray] = None) -> tuple:
+    """Check that ``config`` and ``ground_truth`` fit ``dataset``.
+
+    Returns the (trials, times) minibatch sizes of one iteration; raises
+    ``ValueError`` when a window, a minibatch or the ground truth does
+    not fit the dataset.  Fitting runs this before iteration 1.
+    """
+    n_trials, channels, samples = dataset.signals.shape
+    if dataset.n_targets:
+        config.feature_config.dim(samples)  # raises when window > T
+    if ground_truth is not None and \
+            np.shape(ground_truth) != (channels, channels):
+        raise ValueError("ground-truth mixing shape mismatch")
+    batch_n = config.batch_trials if (stochastic and config.batch_trials) \
+        else n_trials
+    batch_tau = config.batch_times if (stochastic and config.batch_times) \
+        else samples
+    if batch_n > n_trials or batch_tau > samples:
+        raise ValueError("minibatch size exceeds dataset dimensions")
+    return batch_n, batch_tau
+
+
 def _fit(dataset, config, ground_truth, stochastic,
          iter_hook=None) -> FitResult:
     t_start = time.perf_counter()
+    batch_n, batch_tau = check_inputs(dataset, config, stochastic,
+                                      ground_truth)
     z = dataset.signals
     n_trials, channels, samples = z.shape
     labels = dataset.labels
@@ -277,30 +303,21 @@ def _fit(dataset, config, ground_truth, stochastic,
     density = get_density(config.density)
     fm_cfg = config.feature_config
     if n_targets:
-        feature_dim = fm_cfg.dim(samples)  # validates window <= T
+        feature_dim = fm_cfg.dim(samples)
     if ground_truth is not None:
         ground_truth = np.asarray(ground_truth, dtype=np.float64)
-        if ground_truth.shape != (channels, channels):
-            raise ValueError("ground-truth mixing shape mismatch")
-
-    batch_n = config.batch_trials if (stochastic and config.batch_trials) \
-        else n_trials
-    batch_tau = config.batch_times if (stochastic and config.batch_times) \
-        else samples
-    if batch_n > n_trials or batch_tau > samples:
-        raise ValueError("minibatch size exceeds dataset dimensions")
 
     rng = Xoshiro256pp(config.seed)
     state = _draw_invertible_init(rng, channels, config.init_scale)
-    models = [init_model(schema, feature_dim, rng, config.init_scale,
-                         config.mu) for schema in dataset.targets]
+    models = [init_model(schema, feature_dim, rng, config.init_scale)
+              for schema in dataset.targets]
     optimizers = [make_optimizer(config.optimizer, config.eta_p, m.theta,
                                  config.beta1, config.beta2, config.eps)
                   for m in models]
 
     aux = np.asarray(aux_exact(
         np.einsum("cd,ndt->nct", state.w, z), density, config.u_max))
-    trace = Trace(f_available=density.has_f)
+    trace = Trace()
 
     full_trials = np.arange(n_trials)
     full_times = np.arange(samples)
@@ -392,7 +409,7 @@ def _snapshot(k, state, models, aux, z, labels, density, fm_cfg, config,
                                         need_grad_theta=False)
         loss_sup += float(losses.sum() / n)
     if density.has_f:
-        bound = 0.5 * aux * x * x + density.f(aux)
+        bound = variational_value(x, aux, density)
         f_value = float(-state.logabsdet + bound.sum() / (n * t)
                         + config.lam * loss_sup
                         + 0.5 * config.mu * sum(

@@ -95,12 +95,6 @@ def _forward(batch: np.ndarray, cfg: FeatureMapConfig):
     return phi.reshape(b, -1), ctx
 
 
-def feature_map(signal: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
-    """Feature vector of one signal; shape ``(cfg.dim(T),)``."""
-    phi, _ = _forward(signal[None, :], cfg)
-    return phi[0]
-
-
 def feature_map_batch(batch: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     """Feature vectors of a ``(B, T)`` signal batch; shape ``(B, dim)``."""
     phi, _ = _forward(batch, cfg)
@@ -116,20 +110,14 @@ def _adjoint_from_ctx(ctx, grad_phi: np.ndarray, n_samples: int,
     if cfg.log_power:
         v = v / shifted  # chain rule through log(power + eps)
     cos, sin = _trig(cfg.window)
-    # d(power_k)/d(x_t) = 2*re_k*cos(wkt) - 2*im_k*(-? ) ; rfft imag = -SIN^T x
+    # re = COS^T x and im = -SIN^T x, so
+    # d(power_k)/d(x_t) = 2*re_k*cos(w*k*t) - 2*im_k*sin(w*k*t)
     g_win = 2.0 * ((v * re) @ cos.T - (v * im) @ sin.T)
     grad = np.zeros((b, n_samples))
     starts = np.arange(n_win) * cfg.hop
     for j, s0 in enumerate(starts):
         grad[:, s0:s0 + cfg.window] += g_win[:, j, :]
     return grad
-
-
-def feature_adjoint(signal: np.ndarray, grad_phi: np.ndarray,
-                    cfg: FeatureMapConfig) -> np.ndarray:
-    """J_phi(signal)^T grad_phi for one signal."""
-    _, ctx = _forward(signal[None, :], cfg)
-    return _adjoint_from_ctx(ctx, grad_phi[None, :], signal.shape[-1], cfg)[0]
 
 
 # --- per-target linear models -------------------------------------------
@@ -139,13 +127,11 @@ class SupervisedTargetModel:
     """Linear predictive head for one target.
 
     ``theta`` has shape ``(dim,)`` for continuous targets and
-    ``(n_classes, dim)`` for categorical ones.  ``weight_decay`` is the
-    decoupled L2 coefficient applied by the optimizer.
+    ``(n_classes, dim)`` for categorical ones.
     """
 
     schema: TargetSchema
     theta: np.ndarray
-    weight_decay: float = 0.0
 
     @property
     def kind(self) -> str:
@@ -159,10 +145,10 @@ def theta_shape(schema: TargetSchema, dim: int) -> tuple:
 
 
 def init_model(schema: TargetSchema, dim: int, rng: Xoshiro256pp,
-               scale: float = 0.01, weight_decay: float = 0.0) -> SupervisedTargetModel:
+               scale: float = 0.01) -> SupervisedTargetModel:
     """Small random initialization of a target head."""
     return SupervisedTargetModel(
-        schema, scale * rng.normals(theta_shape(schema, dim)), weight_decay)
+        schema, scale * rng.normals(theta_shape(schema, dim)))
 
 
 def head_loss_grads(model: SupervisedTargetModel, phi: np.ndarray,
@@ -221,14 +207,6 @@ def batch_loss_grads(model: SupervisedTargetModel, batch: np.ndarray,
     grad_s = (_adjoint_from_ctx(ctx, grad_phi, batch.shape[1], cfg)
               if need_grad_s else None)
     return losses, grad_s, grad_theta
-
-
-def loss_and_grads(model: SupervisedTargetModel, signal: np.ndarray,
-                   label: float, cfg: FeatureMapConfig):
-    """Single-trial convenience wrapper around :func:`batch_loss_grads`."""
-    losses, grad_s, grad_theta = batch_loss_grads(
-        model, signal[None, :], np.array([label]), cfg)
-    return float(losses[0]), grad_s[0], grad_theta
 
 
 def predict_batch(model: SupervisedTargetModel, batch: np.ndarray,

@@ -193,19 +193,17 @@ def cyclic_sweep(state: UnmixingState, a_of, b_mat: np.ndarray,
                  eta_u: float, lam: float) -> UnmixingState:
     """Update every row once, in index order c = 0..C-1.
 
-    ``a_of`` maps a component index to its A_c matrix (callable), or is a
-    sequence of precomputed matrices.  Later rows see the earlier rows'
-    updates through the reparametrization; B stays fixed across the sweep,
-    which is exact because the row-c objective touches B only through row
-    c and row c of W is untouched until its own turn.
+    ``a_of`` maps a component index to its A_c matrix.  Later rows see the
+    earlier rows' updates through the reparametrization; B stays fixed
+    across the sweep, which is exact because the row-c objective touches B
+    only through row c and row c of W is untouched until its own turn.
     """
-    fetch = a_of if callable(a_of) else (lambda c: a_of[c])
     for comp in range(state.channels):
-        state = row_update(state, fetch(comp), b_mat, comp, eta_u, lam)
+        state = row_update(state, a_of(comp), b_mat, comp, eta_u, lam)
     return state
 
 
-def per_iteration_objective(w: np.ndarray, w_anchor: np.ndarray, a_set,
+def per_iteration_objective(w: np.ndarray, w_anchor: np.ndarray, a_of,
                             b_mat: np.ndarray, eta_u: float,
                             lam: float) -> float:
     """Value of the quadratic surrogate the sweep minimizes row-by-row.
@@ -213,15 +211,15 @@ def per_iteration_objective(w: np.ndarray, w_anchor: np.ndarray, a_set,
     J(W) = -log|det W| + (1/2) sum_c W_c A_c W_c^T + lam * <B, W>
            + (1/(2*eta_u)) |W - W_anchor|_F^2
 
-    With ``eta_u = inf`` the proximal term drops out.  Returns +inf for a
-    singular W (outside the domain).
+    ``a_of`` maps a component index to its A_c matrix, as in
+    :func:`cyclic_sweep`.  With ``eta_u = inf`` the proximal term drops
+    out.  Returns +inf for a singular W (outside the domain).
     """
     w = np.asarray(w, dtype=np.float64)
     sign, logdet = np.linalg.slogdet(w)
     if sign == 0.0 or not np.isfinite(logdet):
         return float("inf")
-    fetch = a_set if callable(a_set) else (lambda c: a_set[c])
-    quad = 0.5 * sum(float(w[c] @ fetch(c) @ w[c]) for c in range(w.shape[0]))
+    quad = 0.5 * sum(float(w[c] @ a_of(c) @ w[c]) for c in range(w.shape[0]))
     value = -logdet + quad + lam * float(np.sum(b_mat * w))
     inv_eta = _eta_inv(eta_u)
     if inv_eta:

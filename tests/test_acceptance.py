@@ -22,8 +22,7 @@ from mtsica.prng import Xoshiro256pp
 from mtsica.solver import (SolverAbort, SolverConfig, compute_rate_guards,
                            fit_full_batch, fit_stochastic)
 from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
-                                batch_loss_grads, init_model, loss_and_grads,
-                                theta_shape)
+                                batch_loss_grads, init_model, theta_shape)
 from mtsica.synthgen import gen_dataset
 from mtsica.unmixing import (UnmixingState, compute_A_c, compute_B,
                              per_iteration_objective, row_update)
@@ -154,24 +153,24 @@ def test_3_gradients_match_finite_differences():
         cfg = FeatureMapConfig(window=16, hop=8, log_power=log_power)
         model = SupervisedTargetModel(
             schema,
-            0.3 * rng.normal(size=theta_shape(schema, cfg.dim(cfg_t))), 0.0)
+            0.3 * rng.normal(size=theta_shape(schema, cfg.dim(cfg_t))))
         s = rng.normal(size=cfg_t)
-        y = float(rng.normal()) if schema.kind == "continuous" \
-            else float(rng.integers(3))
-        _, grad_s, grad_theta = loss_and_grads(model, s, y, cfg)
+        y = np.array([float(rng.normal()) if schema.kind == "continuous"
+                      else float(rng.integers(3))])
+        _, grad_s, grad_theta = batch_loss_grads(model, s[None, :], y, cfg)
 
         ds = rng.normal(size=cfg_t)
-        lp, _, _ = loss_and_grads(model, s + h * ds, y, cfg)
-        lm, _, _ = loss_and_grads(model, s - h * ds, y, cfg)
+        lp, lm = batch_loss_grads(model, np.stack([s + h * ds, s - h * ds]),
+                                  np.repeat(y, 2), cfg)[0]
         fd = (lp - lm) / (2 * h)
-        err = abs(fd - grad_s @ ds) / max(1.0, abs(fd))
+        err = abs(fd - grad_s[0] @ ds) / max(1.0, abs(fd))
         worst = max(worst, err)
 
         dth = rng.normal(size=model.theta.shape)
-        mp = SupervisedTargetModel(schema, model.theta + h * dth, 0.0)
-        mm = SupervisedTargetModel(schema, model.theta - h * dth, 0.0)
-        lp, _, _ = loss_and_grads(mp, s, y, cfg)
-        lm, _, _ = loss_and_grads(mm, s, y, cfg)
+        mp = SupervisedTargetModel(schema, model.theta + h * dth)
+        mm = SupervisedTargetModel(schema, model.theta - h * dth)
+        lp = batch_loss_grads(mp, s[None, :], y, cfg)[0][0]
+        lm = batch_loss_grads(mm, s[None, :], y, cfg)[0][0]
         fd = (lp - lm) / (2 * h)
         err = abs(fd - np.sum(grad_theta * dth)) / max(1.0, abs(fd))
         worst = max(worst, err)
@@ -310,7 +309,7 @@ def test_7_minibatch_estimators_are_unbiased():
 
     fm = FeatureMapConfig(window=2, hop=2)
     labels = rng.normal(size=(4, 1))
-    model = SupervisedTargetModel(CONT, rng.normal(size=fm.dim(4)), 0.0)
+    model = SupervisedTargetModel(CONT, rng.normal(size=fm.dim(4)))
     w = np.eye(2) + 0.2 * rng.normal(size=(2, 2))
 
     def coupling(tr, tm):

@@ -3,6 +3,7 @@ baselines, exit codes, and reproducibility of written artifacts."""
 
 import filecmp
 import json
+import shutil
 import subprocess
 import sys
 
@@ -139,12 +140,42 @@ def test_fit_resolved_config_round_trips(tmp_path):
     assert opts["batch_trials"] == 2
     assert opts["iterations"] == 2
     assert opts["stochastic"] is False
-    # files written before update_order was removed still load and fit
+    # files written before lipschitz_* and update_order were removed still
+    # load: fit reproduces the run and eval --run scores it the same
+    retired = ["lipschitz_lm=none", "lipschitz_ltheta=none",
+               "update_order=aux_first"]
     old = write_cfg(tmp_path / "old", (out / "config.resolved").read_text()
-                    .splitlines() + ["update_order=aux_first"])
+                    .splitlines() + retired)
     again = tmp_path / "again"
     assert run(["fit", "--data", d, "--config", old, "--out", again]) == 0
     assert filecmp.cmp(out / "W.f64", again / "W.f64", shallow=False)
+
+    sup = tmp_path / "sup"
+    gen_sup(sup)
+    new_run, old_run = tmp_path / "new_run", tmp_path / "old_run"
+    assert run(["fit", "--data", sup, "--config",
+                write_cfg(tmp_path / "sup_cfg", SUP_CFG), "--center",
+                "--out", new_run]) == 0
+    shutil.copytree(new_run, old_run)
+    write_cfg(old_run / "config.resolved",
+              (new_run / "config.resolved").read_text().splitlines()
+              + retired)
+    refit = tmp_path / "refit"
+    assert run(["fit", "--data", sup, "--config",
+                old_run / "config.resolved", "--out", refit]) == 0
+    for name in ("W.f64", "theta_0.f64"):
+        assert filecmp.cmp(new_run / name, refit / name, shallow=False)
+    scores = []
+    for rund in (new_run, old_run):
+        csv = rund / "holdout.csv"
+        assert run(["eval", "--run", rund, "--data", sup, "--holdout",
+                    "0.5", "--out", csv]) == 0
+        scores.append([line for line in csv.read_text().splitlines()
+                       if not line.startswith("# run=")])
+    assert scores[0] == scores[1]
+    bad_order = write_cfg(tmp_path / "u", ["update_order=w_first"])
+    assert run(["fit", "--data", d, "--config", bad_order,
+                "--out", tmp_path / "o"]) == 2
 
 
 def test_fit_supervised_with_flag_overrides(tmp_path):
@@ -189,10 +220,19 @@ def test_fit_rejects_malformed_configs(tmp_path, capsys):
     bad_val = write_cfg(tmp_path / "v", ["iterations=soon"])
     assert run(["fit", "--data", d, "--config", bad_val,
                 "--out", tmp_path / "o3"]) == 2
-    bad_cfg = write_cfg(tmp_path / "c", ["eta_u=-1"])
-    assert run(["fit", "--data", d, "--config", bad_cfg,
-                "--out", tmp_path / "o4"]) == 2
-    assert "invalid configuration" in capsys.readouterr().err
+    sup = tmp_path / "sup"
+    gen_sup(sup)
+    for i, (data, lines, flags) in enumerate([
+            (d, ["eta_u=-1"], []),
+            (d, ["window=1"], []),
+            (d, ["hop=0"], []),
+            (d, ["density=huber", "aux_mode=proximal"], []),
+            (d, ["batch_trials=4"], ["--stochastic"]),     # N is 3
+            (sup, ["iterations=1"], [])]):                 # window 64 > T
+        bad_cfg = write_cfg(tmp_path / f"c{i}", lines)
+        assert run(["fit", "--data", data, "--config", bad_cfg,
+                    "--out", tmp_path / f"bad{i}", *flags]) == 2, lines
+        assert "invalid configuration" in capsys.readouterr().err
     bad_order = write_cfg(tmp_path / "u", ["update_order=w_first"])
     assert run(["fit", "--data", d, "--config", bad_order,
                 "--out", tmp_path / "o5"]) == 2
@@ -299,8 +339,20 @@ def test_eval_usage_errors(tmp_path, capsys):
     assert run(["fit", "--data", d, "--config", cfg, "--out", rund]) == 0
     assert run(["eval", "--run", rund, "--data", d,
                 "--holdout", "1.5"]) == 2                # bad fraction
+    sup, short = tmp_path / "sup", tmp_path / "short"
+    gen_sup(sup)
+    assert run(["gen", "--recipe", "supervision", "--seed", 0, "--out", short,
+                "--trials", "4", "--channels", "3", "--samples", "6",
+                "--targets", "1", "--kappa", "1", "--window", "2",
+                "--hop", "1"]) == 0
+    sup_run = tmp_path / "sup_run"
+    assert run(["fit", "--data", sup, "--config",
+                write_cfg(tmp_path / "sup_cfg", SUP_CFG),
+                "--out", sup_run]) == 0
+    assert run(["eval", "--run", sup_run, "--data", short,
+                "--holdout", "0.5"]) == 2                # window 8 > T 6
     err = capsys.readouterr().err.splitlines()
-    assert len([l for l in err if l.startswith("error:")]) == 3
+    assert len([l for l in err if l.startswith("error:")]) == 4
 
 
 # --- baseline ---

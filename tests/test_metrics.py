@@ -7,7 +7,7 @@ from mtsica.data import Dataset, TargetSchema
 from mtsica.metrics import (FobiResult, amari_distance, evaluate_predictions,
                             fobi, success_rate, whiten)
 from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
-                                feature_map, predict_batch)
+                                feature_map_batch, predict_batch)
 
 FM8 = FeatureMapConfig(window=8, hop=4)
 
@@ -172,10 +172,10 @@ def test_evaluate_predictions_perfect_regression():
     a = np.array([[2.0, 0.5], [-0.3, 1.0]])
     signals = np.einsum("cd,ndt->nct", a, sources)
     theta = rng.normal(size=FM8.dim(16))
-    labels = np.array([[feature_map(sources[i, 0], FM8) @ theta]
+    labels = np.array([[feature_map_batch(sources[i, :1], FM8)[0] @ theta]
                        for i in range(6)])
     ds = Dataset(signals, labels, (TargetSchema("y", "continuous"),))
-    model = SupervisedTargetModel(ds.targets[0], theta, 0.0)
+    model = SupervisedTargetModel(ds.targets[0], theta)
     (metric,) = evaluate_predictions(np.linalg.inv(a), [model], ds, FM8)
     assert metric.metric == "rmse" and metric.name == "y"
     assert metric.value < 1e-8
@@ -185,8 +185,7 @@ def test_evaluate_predictions_subset_and_accuracy():
     rng = np.random.default_rng(13)
     signals = rng.normal(size=(8, 2, 16))
     schema = TargetSchema("k", "categorical", n_classes=2)
-    model = SupervisedTargetModel(schema, rng.normal(size=(2, FM8.dim(16))),
-                                  0.0)
+    model = SupervisedTargetModel(schema, rng.normal(size=(2, FM8.dim(16))))
     w = np.eye(2)
     pred = predict_batch(model, signals[:, 0, :], FM8)
     labels = pred.copy()

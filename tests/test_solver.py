@@ -2,6 +2,7 @@
 tracing, and failure modes."""
 
 import filecmp
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -53,11 +54,11 @@ def test_config_validation():
                 dict(optimizer="rmsprop"), dict(beta1=1.0),
                 dict(beta2=-0.1), dict(trace_every=0), dict(u_max=0.0),
                 dict(batch_trials=0), dict(batch_times=-3),
-                dict(log_eps=0.0)]:
+                dict(log_eps=0.0), dict(eps=0.0), dict(window=1),
+                dict(hop=0), dict(density="huber", aux_mode="proximal")]:
         with pytest.raises(ValueError):
             SolverConfig(**bad)
-    cfg = SolverConfig(eta_u=np.inf, iterations=0)   # both explicitly legal
-    assert cfg.with_seed(7).seed == 7
+    SolverConfig(eta_u=np.inf, iterations=0)         # both explicitly legal
     fm = SolverConfig(window=32, hop=4, log_power=True,
                       log_eps=1e-5).feature_config
     assert (fm.window, fm.hop, fm.log_power, fm.log_eps) == \
@@ -72,7 +73,7 @@ def test_rate_guards_closed_form_plugins():
     z[0, 0, 0] = 1.0
     ds = Dataset(z, np.zeros((1, 1)),
                  (TargetSchema("y", "continuous"),))
-    model = SupervisedTargetModel(ds.targets[0], np.zeros(FM16.dim(16)), 0.0)
+    model = SupervisedTargetModel(ds.targets[0], np.zeros(FM16.dim(16)))
     g = compute_rate_guards(ds, [model], lam=0.5, mu=1.0, fm_cfg=FM16,
                             lm_override=1.0, ltheta_override=9.0)
     assert g.avg_sq_signal_norm == pytest.approx(1.0, abs=1e-10)
@@ -90,7 +91,7 @@ def test_rate_guards_absent_couplings_are_unbounded():
     assert g.eta_p_max == np.inf
     ds2, _ = small_sup()
     model = SupervisedTargetModel(ds2.targets[0],
-                                  np.zeros(FM16L.dim(64)), 0.0)
+                                  np.zeros(FM16L.dim(64)))
     g2 = compute_rate_guards(ds2, [model], lam=0.0, mu=0.0, fm_cfg=FM16L)
     assert g2.eta_u_max == np.inf               # lam = 0 decouples W
     assert 0.0 < g2.eta_p_max < np.inf
@@ -99,7 +100,7 @@ def test_rate_guards_absent_couplings_are_unbounded():
 def test_rate_guards_estimates_are_positive_finite():
     ds, _ = small_sup()
     model = SupervisedTargetModel(ds.targets[0],
-                                  0.01 * np.ones(FM16L.dim(64)), 0.0)
+                                  0.01 * np.ones(FM16L.dim(64)))
     g = compute_rate_guards(ds, [model], lam=1e-3, mu=0.01, fm_cfg=FM16L)
     assert 0.0 < g.eta_u_max < np.inf
     assert 0.0 < g.eta_p_max < np.inf
@@ -114,11 +115,10 @@ def test_zero_iterations_returns_replicable_init():
     res = fit_full_batch(ds, cfg)
     rng = Xoshiro256pp(cfg.seed)
     want_state = _draw_invertible_init(rng, 3, cfg.init_scale)
-    want_models = [init_model(s, FM16L.dim(64), rng, cfg.init_scale, cfg.mu)
+    want_models = [init_model(s, FM16L.dim(64), rng, cfg.init_scale)
                    for s in ds.targets]
     assert np.array_equal(res.w_state.w, want_state.w)
     assert np.array_equal(res.models[0].theta, want_models[0].theta)
-    assert res.models[0].weight_decay == 0.2
     assert [r.k for r in res.trace.records] == [0]
     assert np.isfinite(res.trace.final().f_value)
 
@@ -132,7 +132,7 @@ def test_full_batch_runs_are_bit_identical():
     assert r1.models[0].theta.tobytes() == r2.models[0].theta.tobytes()
     assert [t.f_value for t in r1.trace.records] == \
         [t.f_value for t in r2.trace.records]
-    r3 = fit_full_batch(ds, cfg.with_seed(1), ground_truth=mixing)
+    r3 = fit_full_batch(ds, replace(cfg, seed=1), ground_truth=mixing)
     assert r3.w_state.w.tobytes() != r1.w_state.w.tobytes()
 
 
@@ -169,7 +169,7 @@ def test_stochastic_fit_matches_reference_loop(aux_mode):
     density = get_density(cfg.density)
     rng = Xoshiro256pp(cfg.seed)
     state = _draw_invertible_init(rng, c_dim, cfg.init_scale)
-    models = [init_model(s, FM16L.dim(t_all), rng, cfg.init_scale, cfg.mu)
+    models = [init_model(s, FM16L.dim(t_all), rng, cfg.init_scale)
               for s in ds.targets]
     opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta, cfg.beta1,
                            cfg.beta2, cfg.eps) for m in models]
@@ -221,7 +221,8 @@ def test_stochastic_fit_matches_reference_loop(aux_mode):
                 z[trials][:, :, times]) / len(trials)
         a_set = [compute_A_c(aux[:, c, :], z, trials, times)
                  for c in range(c_dim)]
-        state = cyclic_sweep(state, a_set, b_mat, cfg.eta_u, cfg.lam)
+        state = cyclic_sweep(state, a_set.__getitem__, b_mat, cfg.eta_u,
+                             cfg.lam)
         want.append(snapshot(k))
 
     assert np.array_equal(res.w_state.w, state.w)
@@ -230,6 +231,41 @@ def test_stochastic_fit_matches_reference_loop(aux_mode):
     got = [(r.k, r.loss_unsup, r.loss_sup, r.f_value, r.amari)
            for r in res.trace.records]
     assert np.array_equal(np.array(got), np.array(want))
+
+
+def test_every_config_field_changes_the_fit():
+    # a knob that changes neither W, a theta nor the trace does nothing;
+    # the base turns every mode on so that each knob has work to do
+    ds, mixing = small_sup(n=6, m=2)
+    base = dict(iterations=3, eta_u=0.05, eta_p=1e-3, eta_a=0.5, lam=1e-3,
+                mu=0.1, aux_mode="proximal", optimizer="adamw",
+                batch_trials=3, batch_times=32, window=16, hop=8,
+                log_power=True, u_max=2.0, seed=5)
+    changed = dict(iterations=2, eta_u=0.1, eta_p=2e-3, eta_a=0.25,
+                   lam=2e-3, mu=0.2, density="huber", aux_mode="exact",
+                   optimizer="sgd_wd", beta1=0.8, beta2=0.99, eps=1e-4,
+                   batch_trials=4, batch_times=48, seed=6, trace_every=2,
+                   window=8, hop=4, log_power=False, log_eps=1e-3,
+                   u_max=3.0, init_scale=0.02)
+    assert set(changed) == {f.name for f in fields(SolverConfig)}
+
+    def outcome(cfg):
+        res = fit_stochastic(ds, cfg, ground_truth=mixing)
+        return (res.w_state.w.tobytes(),
+                [m.theta.tobytes() for m in res.models],
+                [(r.k, r.loss_unsup, r.loss_sup, r.f_value, r.amari)
+                 for r in res.trace.records])
+
+    want = outcome(SolverConfig(**base))
+    dead = []
+    for name, value in changed.items():
+        try:
+            cfg = SolverConfig(**{**base, name: value})
+        except ValueError:
+            continue                     # rejected: not silently ignored
+        if outcome(cfg) == want:
+            dead.append(name)
+    assert dead == []
 
 
 def test_minibatch_larger_than_dataset_rejected():
@@ -291,7 +327,7 @@ def test_objective_snapshot_matches_independent_assembly():
         x = np.einsum("cd,ndt->nct", w, ds.signals)
         val = -np.log(abs(np.linalg.det(w)))
         val += np.sum(0.5 * u * x * x + 0.5 / u) / (n * t)
-        model = SupervisedTargetModel(ds.targets[0], thetas[0], 0.0)
+        model = SupervisedTargetModel(ds.targets[0], thetas[0])
         losses, _, _ = batch_loss_grads(model, x[:, 0, :], ds.labels[:, 0],
                                         FM16L, need_grad_s=False,
                                         need_grad_theta=False)
@@ -303,7 +339,6 @@ def test_objective_snapshot_matches_independent_assembly():
 def test_huber_has_no_closed_objective():
     ds, _ = small_unsup()
     res = fit_full_batch(ds, SolverConfig(iterations=3, density="huber"))
-    assert res.trace.f_available is False
     assert all(r.f_value is None for r in res.trace.records)
     assert all(np.isfinite(r.loss_unsup) for r in res.trace.records)
     with pytest.raises(ValueError):

@@ -7,11 +7,11 @@ import pytest
 from mtsica.data import TargetSchema
 from mtsica.prng import Xoshiro256pp
 from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
-                                batch_loss_grads, feature_adjoint,
-                                feature_map, feature_map_batch, init_model,
-                                loss_and_grads, make_optimizer,
-                                optimizer_step, param_lipschitz,
-                                predict_batch, source_lipschitz, theta_shape)
+                                _adjoint_from_ctx, _forward,
+                                batch_loss_grads, feature_map_batch,
+                                init_model, make_optimizer, optimizer_step,
+                                param_lipschitz, predict_batch,
+                                source_lipschitz, theta_shape)
 
 CONT = TargetSchema("y", "continuous")
 CAT3 = TargetSchema("k", "categorical", n_classes=3)
@@ -47,7 +47,7 @@ def test_feature_dimensions():
 def test_feature_map_constant_signal():
     # full-signal window: DFT of all-ones has w^2 power at DC, 0 elsewhere
     cfg = FeatureMapConfig(window=8, hop=1)
-    phi = feature_map(np.ones(8), cfg)
+    phi = feature_map_batch(np.ones((1, 8)), cfg)[0]
     want = np.zeros(5)
     want[0] = 64.0
     assert np.allclose(phi, want, atol=1e-10)
@@ -55,16 +55,17 @@ def test_feature_map_constant_signal():
 
 def test_feature_map_zero_signal():
     cfg = FeatureMapConfig(window=8, hop=4)
-    assert np.allclose(feature_map(np.zeros(16), cfg), 0.0)
+    assert np.allclose(feature_map_batch(np.zeros((1, 16)), cfg), 0.0)
     logcfg = FeatureMapConfig(window=8, hop=4, log_power=True, log_eps=1e-6)
-    assert np.allclose(feature_map(np.zeros(16), logcfg), np.log(1e-6))
+    assert np.allclose(feature_map_batch(np.zeros((1, 16)), logcfg),
+                       np.log(1e-6))
 
 
 @pytest.mark.parametrize("log_power", [False, True])
 def test_feature_map_matches_naive_dft(log_power):
     cfg = FeatureMapConfig(window=16, hop=8, log_power=log_power)
     s = np.random.default_rng(0).normal(size=32)
-    phi = feature_map(s, cfg)
+    phi = feature_map_batch(s[None, :], cfg)[0]
     assert phi.shape == (27,)
     assert np.max(np.abs(phi - naive_feature_map(s, cfg))) < 1e-10
 
@@ -75,7 +76,8 @@ def test_feature_map_batch_stacks_rows():
     phi = feature_map_batch(batch, cfg)
     assert phi.shape == (5, cfg.dim(24))
     for i in range(5):
-        assert np.array_equal(phi[i], feature_map(batch[i], cfg))
+        assert np.array_equal(phi[i], feature_map_batch(batch[i:i + 1],
+                                                        cfg)[0])
 
 
 @pytest.mark.parametrize("log_power", [False, True])
@@ -85,12 +87,13 @@ def test_feature_adjoint_matches_jacobian_transpose(log_power):
     rng = np.random.default_rng(2)
     s = rng.normal(size=20)
     v = rng.normal(size=cfg.dim(20))
-    jt_v = feature_adjoint(s, v, cfg)
+    _, ctx = _forward(s[None, :], cfg)
+    jt_v = _adjoint_from_ctx(ctx, v[None, :], 20, cfg)[0]
     h = 1e-7
     for _ in range(5):
         ds = rng.normal(size=20)
-        lhs = (feature_map(s + h * ds, cfg) - feature_map(s - h * ds, cfg)) \
-            @ v / (2 * h)
+        phi = feature_map_batch(np.stack([s + h * ds, s - h * ds]), cfg)
+        lhs = (phi[0] - phi[1]) @ v / (2 * h)
         assert abs(lhs - jt_v @ ds) < 1e-5 * max(1.0, abs(lhs))
 
 
@@ -98,12 +101,13 @@ def test_feature_adjoint_matches_jacobian_transpose(log_power):
 
 def test_regression_zero_theta():
     cfg = FeatureMapConfig(window=8, hop=4)
-    model = SupervisedTargetModel(CONT, np.zeros(cfg.dim(16)), 0.0)
+    model = SupervisedTargetModel(CONT, np.zeros(cfg.dim(16)))
     s = np.random.default_rng(3).normal(size=16)
     y = 2.5
-    loss, grad_s, grad_theta = loss_and_grads(model, s, y, cfg)
-    assert abs(loss - 0.5 * y * y) < 1e-12
-    assert np.allclose(grad_theta, -y * feature_map(s, cfg))
+    loss, grad_s, grad_theta = batch_loss_grads(model, s[None, :],
+                                                np.array([y]), cfg)
+    assert abs(loss[0] - 0.5 * y * y) < 1e-12
+    assert np.allclose(grad_theta, -y * feature_map_batch(s[None, :], cfg)[0])
     assert np.allclose(grad_s, 0.0)
 
 
@@ -111,11 +115,12 @@ def test_regression_perfect_fit_has_zero_grads():
     cfg = FeatureMapConfig(window=8, hop=4)
     rng = np.random.default_rng(4)
     theta = rng.normal(size=cfg.dim(16))
-    model = SupervisedTargetModel(CONT, theta, 0.0)
+    model = SupervisedTargetModel(CONT, theta)
     s = rng.normal(size=16)
-    y = float(feature_map(s, cfg) @ theta)
-    loss, grad_s, grad_theta = loss_and_grads(model, s, y, cfg)
-    assert abs(loss) < 1e-18
+    y = float(feature_map_batch(s[None, :], cfg)[0] @ theta)
+    loss, grad_s, grad_theta = batch_loss_grads(model, s[None, :],
+                                                np.array([y]), cfg)
+    assert abs(loss[0]) < 1e-18
     assert np.max(np.abs(grad_s)) < 1e-9
     assert np.max(np.abs(grad_theta)) < 1e-9
 
@@ -123,7 +128,7 @@ def test_regression_perfect_fit_has_zero_grads():
 def test_classification_loss_matches_direct_cross_entropy():
     cfg = FeatureMapConfig(window=8, hop=8)
     rng = np.random.default_rng(5)
-    model = SupervisedTargetModel(CAT3, rng.normal(size=(3, cfg.dim(16))), 0.0)
+    model = SupervisedTargetModel(CAT3, rng.normal(size=(3, cfg.dim(16))))
     batch = rng.normal(size=(6, 16))
     labels = np.array([0, 1, 2, 1, 0, 2], dtype=float)
     losses, _, _ = batch_loss_grads(model, batch, labels, cfg)
@@ -137,7 +142,7 @@ def test_classification_loss_matches_direct_cross_entropy():
 
 def test_classification_extreme_logits_stay_finite():
     cfg = FeatureMapConfig(window=8, hop=8)
-    model = SupervisedTargetModel(CAT3, np.full((3, 5), 200.0), 0.0)
+    model = SupervisedTargetModel(CAT3, np.full((3, 5), 200.0))
     model.theta[1] = -200.0
     losses, grad_s, grad_theta = batch_loss_grads(
         model, 3.0 * np.ones((2, 8)), np.array([1.0, 0.0]), cfg)
@@ -152,31 +157,31 @@ def test_gradients_match_finite_differences(schema, log_power):
     rng = np.random.default_rng(6)
     dim = cfg.dim(16)
     model = SupervisedTargetModel(
-        schema, 0.3 * rng.normal(size=theta_shape(schema, dim)), 0.0)
+        schema, 0.3 * rng.normal(size=theta_shape(schema, dim)))
     s = rng.normal(size=16)
-    y = 1.2 if schema.kind == "continuous" else 2.0
-    loss, grad_s, grad_theta = loss_and_grads(model, s, y, cfg)
+    y = np.array([1.2 if schema.kind == "continuous" else 2.0])
+    _, grad_s, grad_theta = batch_loss_grads(model, s[None, :], y, cfg)
 
     h = 1e-6
     for _ in range(4):
         ds = rng.normal(size=16)
-        lp, _, _ = loss_and_grads(model, s + h * ds, y, cfg)
-        lm, _, _ = loss_and_grads(model, s - h * ds, y, cfg)
+        lp, lm = batch_loss_grads(model, np.stack([s + h * ds, s - h * ds]),
+                                  np.repeat(y, 2), cfg)[0]
         fd = (lp - lm) / (2 * h)
-        assert abs(fd - grad_s @ ds) < 1e-5 * max(1.0, abs(fd))
+        assert abs(fd - grad_s[0] @ ds) < 1e-5 * max(1.0, abs(fd))
 
         dth = rng.normal(size=model.theta.shape)
-        mp = SupervisedTargetModel(schema, model.theta + h * dth, 0.0)
-        mm = SupervisedTargetModel(schema, model.theta - h * dth, 0.0)
-        lp, _, _ = loss_and_grads(mp, s, y, cfg)
-        lm, _, _ = loss_and_grads(mm, s, y, cfg)
+        mp = SupervisedTargetModel(schema, model.theta + h * dth)
+        mm = SupervisedTargetModel(schema, model.theta - h * dth)
+        lp = batch_loss_grads(mp, s[None, :], y, cfg)[0][0]
+        lm = batch_loss_grads(mm, s[None, :], y, cfg)[0][0]
         fd = (lp - lm) / (2 * h)
         assert abs(fd - np.sum(grad_theta * dth)) < 1e-5 * max(1.0, abs(fd))
 
 
 def test_classification_rejects_out_of_range_label():
     cfg = FeatureMapConfig(window=8, hop=8)
-    model = SupervisedTargetModel(CAT3, np.zeros((3, 5)), 0.0)
+    model = SupervisedTargetModel(CAT3, np.zeros((3, 5)))
     with pytest.raises(IndexError):
         batch_loss_grads(model, np.ones((1, 8)), np.array([3.0]), cfg)
 
@@ -184,12 +189,12 @@ def test_classification_rejects_out_of_range_label():
 def test_batch_grad_theta_is_mean_of_singles():
     cfg = FeatureMapConfig(window=8, hop=4)
     rng = np.random.default_rng(7)
-    model = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(16)), 0.0)
+    model = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(16)))
     batch = rng.normal(size=(4, 16))
     labels = rng.normal(size=4)
     _, _, g_full = batch_loss_grads(model, batch, labels, cfg)
-    singles = [loss_and_grads(model, batch[i], labels[i], cfg)[2]
-               for i in range(4)]
+    singles = [batch_loss_grads(model, batch[i:i + 1], labels[i:i + 1],
+                                cfg)[2] for i in range(4)]
     assert np.allclose(g_full, np.mean(singles, axis=0), atol=1e-14)
     # two equal halves averaged with weights 1/2, 1/2
     _, _, g_a = batch_loss_grads(model, batch[:2], labels[:2], cfg)
@@ -202,7 +207,7 @@ def test_minibatch_grad_is_unbiased_exhaustively():
     from itertools import combinations
     cfg = FeatureMapConfig(window=8, hop=8)
     rng = np.random.default_rng(8)
-    model = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(8)), 0.0)
+    model = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(8)))
     batch = rng.normal(size=(4, 8))
     labels = rng.normal(size=4)
     _, _, g_full = batch_loss_grads(model, batch, labels, cfg)
@@ -215,12 +220,12 @@ def test_minibatch_grad_is_unbiased_exhaustively():
 def test_predict_batch_consistency():
     cfg = FeatureMapConfig(window=8, hop=4)
     rng = np.random.default_rng(9)
-    m_cont = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(16)), 0.0)
+    m_cont = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(16)))
     batch = rng.normal(size=(3, 16))
     preds = predict_batch(m_cont, batch, cfg)
     assert np.allclose(preds, feature_map_batch(batch, cfg) @ m_cont.theta)
 
-    m_cat = SupervisedTargetModel(CAT3, rng.normal(size=(3, cfg.dim(16))), 0.0)
+    m_cat = SupervisedTargetModel(CAT3, rng.normal(size=(3, cfg.dim(16))))
     cls = predict_batch(m_cat, batch, cfg)
     assert cls.shape == (3,) and set(cls) <= {0.0, 1.0, 2.0}
 
@@ -285,7 +290,7 @@ def test_source_lipschitz_bounds_observed_quotients():
     cfg = FeatureMapConfig(window=8, hop=4)
     rng = np.random.default_rng(11)
     t_len = 16
-    model = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(t_len)), 0.0)
+    model = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(t_len)))
     radius, y_bound = 6.0, 3.0
     lip = source_lipschitz(model, cfg, t_len, radius, y_bound)
     worst = 0.0
@@ -296,8 +301,8 @@ def test_source_lipschitz_bounds_observed_quotients():
         if np.linalg.norm(s2) > radius:
             continue
         y = rng.uniform(-y_bound, y_bound)
-        _, g1, _ = loss_and_grads(model, s1, y, cfg)
-        _, g2, _ = loss_and_grads(model, s2, y, cfg)
+        _, g1, _ = batch_loss_grads(model, s1[None, :], np.array([y]), cfg)
+        _, g2, _ = batch_loss_grads(model, s2[None, :], np.array([y]), cfg)
         q = np.linalg.norm(g1 - g2) / np.linalg.norm(s1 - s2)
         worst = max(worst, q)
     assert worst <= lip
@@ -309,13 +314,13 @@ def test_param_lipschitz_bounds_theta_gradient_quotients():
     rng = np.random.default_rng(12)
     sources = rng.normal(size=(6, 16))
     labels = rng.normal(size=6)
-    model = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(16)), 0.0)
+    model = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(16)))
     lip = param_lipschitz(model, sources, cfg, safety=4.0)
     for _ in range(20):
         th1 = rng.normal(size=model.theta.shape)
         th2 = th1 + rng.normal(size=model.theta.shape)
-        m1 = SupervisedTargetModel(CONT, th1, 0.0)
-        m2 = SupervisedTargetModel(CONT, th2, 0.0)
+        m1 = SupervisedTargetModel(CONT, th1)
+        m2 = SupervisedTargetModel(CONT, th2)
         _, _, g1 = batch_loss_grads(m1, sources, labels, cfg,
                                     need_grad_s=False)
         _, _, g2 = batch_loss_grads(m2, sources, labels, cfg,

@@ -4,7 +4,7 @@ label construction, and recipe plumbing."""
 import numpy as np
 import pytest
 
-from mtsica.supervision import FeatureMapConfig, feature_map
+from mtsica.supervision import FeatureMapConfig, feature_map_batch
 from mtsica.synthgen import (RECIPES, gen_dataset, gen_gaussian_mixing,
                              gen_hilbert_mixing, gen_laplace_sources,
                              gen_regression_targets)
@@ -88,7 +88,7 @@ def test_targets_are_linear_feature_reads():
     assert labels.shape == (5, 2) and theta.shape == (2, FM8.dim(16))
     for i in range(5):
         for m in range(2):
-            want = feature_map(src[i, m], FM8) @ theta[m]
+            want = feature_map_batch(src[i, m:m + 1], FM8)[0] @ theta[m]
             assert labels[i, m] == pytest.approx(want, rel=1e-12)
     assert np.var(labels) > 0.0
 

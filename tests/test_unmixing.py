@@ -131,7 +131,7 @@ def test_b_rows_beyond_targets_are_zero():
     z = rng.normal(size=(3, 4, 16))
     labels = rng.normal(size=(3, 1))
     model = SupervisedTargetModel(TargetSchema("y", "continuous"),
-                                  rng.normal(size=cfg.dim(16)), 0.0)
+                                  rng.normal(size=cfg.dim(16)))
     b = coupling(np.eye(4), [model], cfg, z, labels,
                  full_idx(3), full_idx(16))
     assert np.any(b[0] != 0.0)
@@ -142,7 +142,7 @@ def test_b_zero_theta_zero_label_is_zero():
     cfg = FeatureMapConfig(window=8, hop=4)
     z = np.random.default_rng(7).normal(size=(2, 2, 16))
     model = SupervisedTargetModel(TargetSchema("y", "continuous"),
-                                  np.zeros(cfg.dim(16)), 0.0)
+                                  np.zeros(cfg.dim(16)))
     b = coupling(np.eye(2), [model], cfg, z, np.zeros((2, 1)),
                  full_idx(2), full_idx(16))
     assert np.max(np.abs(b)) < 1e-15
@@ -154,7 +154,7 @@ def test_b_is_gradient_of_mean_loss_in_w_row():
     z = rng.normal(size=(3, 2, 16))
     labels = rng.normal(size=(3, 1))
     model = SupervisedTargetModel(TargetSchema("y", "continuous"),
-                                  0.5 * rng.normal(size=cfg.dim(16)), 0.0)
+                                  0.5 * rng.normal(size=cfg.dim(16)))
     w = np.eye(2) + 0.1 * rng.normal(size=(2, 2))
     b = coupling(w, [model], cfg, z, labels, full_idx(3), full_idx(16))
 
@@ -179,7 +179,7 @@ def test_b_time_subset_average_is_unbiased():
     z = rng.normal(size=(2, 2, 8))
     labels = rng.normal(size=(2, 1))
     model = SupervisedTargetModel(TargetSchema("y", "continuous"),
-                                  rng.normal(size=cfg.dim(8)), 0.0)
+                                  rng.normal(size=cfg.dim(8)))
     w = np.eye(2) + 0.2 * rng.normal(size=(2, 2))
     want = coupling(w, [model], cfg, z, labels, full_idx(2), full_idx(8))
     subs = [np.array(s) for s in combinations(range(8), 3)]
@@ -341,11 +341,12 @@ def test_sweep_never_increases_surrogate():
         eta_u = float(rng.choice([0.3, 5.0, np.inf]))
         lam = 0.1
         st = UnmixingState.from_matrix(w0)
-        j = per_iteration_objective(st.w, w0, mats, b_mat, eta_u, lam)
+        j = per_iteration_objective(st.w, w0, mats.__getitem__, b_mat,
+                                    eta_u, lam)
         for comp in range(c_dim):
             st = row_update(st, mats[comp], b_mat, comp, eta_u, lam)
-            j_new = per_iteration_objective(st.w, w0, mats, b_mat,
-                                            eta_u, lam)
+            j_new = per_iteration_objective(st.w, w0, mats.__getitem__,
+                                            b_mat, eta_u, lam)
             assert j_new <= j + 1e-10 * max(1.0, abs(j))
             j = j_new
 
@@ -355,8 +356,8 @@ def test_sweep_never_increases_surrogate():
 def test_objective_identity_hand_case():
     # -log 1 + C/2 with white moments, no coupling, no proximal term
     for c_dim in (1, 2, 5):
-        mats = [np.eye(c_dim)] * c_dim
-        val = per_iteration_objective(np.eye(c_dim), np.eye(c_dim), mats,
+        val = per_iteration_objective(np.eye(c_dim), np.eye(c_dim),
+                                      lambda c: np.eye(c_dim),
                                       np.zeros((c_dim, c_dim)), np.inf, 0.0)
         assert abs(val - 0.5 * c_dim) < 1e-14
 
@@ -371,7 +372,8 @@ def test_objective_matches_naive_oracle():
     mats = [0.5 * (m + m.T) for m in mats]
     b_mat = rng.normal(size=(c_dim, c_dim))
     eta_u, lam = 2.5, 0.7
-    got = per_iteration_objective(w, anchor, mats, b_mat, eta_u, lam)
+    got = per_iteration_objective(w, anchor, mats.__getitem__, b_mat,
+                                  eta_u, lam)
     want = -np.log(abs(np.linalg.det(w)))
     for c in range(c_dim):
         want += 0.5 * float(w[c] @ mats[c] @ w[c])
@@ -386,20 +388,20 @@ def test_objective_term_dropout():
     rng = np.random.default_rng(19)
     w = np.eye(2) + 0.1 * rng.normal(size=(2, 2))
     anchor = rng.normal(size=(2, 2))
-    mats = [np.eye(2), 2.0 * np.eye(2)]
+    a_of = [np.eye(2), 2.0 * np.eye(2)].__getitem__
     b_mat = rng.normal(size=(2, 2))
     # lam = 0 removes the coupling term entirely
-    v0 = per_iteration_objective(w, anchor, mats, b_mat, np.inf, 0.0)
-    v1 = per_iteration_objective(w, anchor, mats, np.zeros((2, 2)),
+    v0 = per_iteration_objective(w, anchor, a_of, b_mat, np.inf, 0.0)
+    v1 = per_iteration_objective(w, anchor, a_of, np.zeros((2, 2)),
                                  np.inf, 0.33)
     assert abs(v0 - v1) < 1e-14
     # eta_u = inf removes the proximal term
-    v2 = per_iteration_objective(w, w + 100.0, mats, b_mat, np.inf, 0.0)
-    v3 = per_iteration_objective(w, w, mats, b_mat, np.inf, 0.0)
+    v2 = per_iteration_objective(w, w + 100.0, a_of, b_mat, np.inf, 0.0)
+    v3 = per_iteration_objective(w, w, a_of, b_mat, np.inf, 0.0)
     assert abs(v2 - v3) < 1e-14
 
 
 def test_objective_singular_w_is_infinite():
     assert per_iteration_objective(np.zeros((2, 2)), np.eye(2),
-                                   [np.eye(2)] * 2, np.zeros((2, 2)),
+                                   lambda c: np.eye(2), np.zeros((2, 2)),
                                    np.inf, 0.0) == np.inf
