@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .data import (Dataset, DatasetFormatError, TargetSchema,
                    concat_trials, load_dataset, preprocess, save_dataset)
 from .likelihood import (DENSITIES, SuperGaussianDensity, aux_exact,
-                         aux_proximal, get_density, unsup_loss)
+                         aux_proximal, get_density)
 from .metrics import (FobiResult, TargetMetric, amari_distance,
                       evaluate_predictions, fobi, success_rate, whiten)
 from .solver import (FitResult, RateGuards, SolverAbort, SolverConfig, Trace,
@@ -23,8 +23,7 @@ from .supervision import (FeatureMapConfig, OptimizerState,
 from .synthgen import (RECIPES, gen_dataset, gen_gaussian_mixing,
                        gen_hilbert_mixing, gen_laplace_sources,
                        gen_regression_targets)
-from .unmixing import (FactorizationError, UnmixingState, compute_A_c,
-                       compute_B, cyclic_sweep, per_iteration_objective,
-                       row_update)
+from .unmixing import (FactorizationError, UnmixingState, compute_B,
+                       cyclic_sweep, row_update)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

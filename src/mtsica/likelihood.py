@@ -90,21 +90,6 @@ def get_density(name: str) -> SuperGaussianDensity:
             f"unknown density {name!r}; choose from {sorted(DENSITIES)}") from None
 
 
-def unsup_loss(logabsdet: float, sources: np.ndarray,
-               density: SuperGaussianDensity) -> float:
-    """Per-trial unsupervised loss -log|det W| + (1/T) sum g(x).
-
-    Parameters
-    ----------
-    logabsdet : float
-        log|det W| of the unmixing matrix that produced ``sources``.
-    sources : ndarray, shape (C, T)
-        Unmixed sources x = W z for one trial.
-    """
-    t = sources.shape[-1]
-    return float(-logabsdet + density.g(sources).sum() / t)
-
-
 def aux_exact(sources: np.ndarray, density: SuperGaussianDensity,
               u_max: float = DEFAULT_U_MAX) -> np.ndarray:
     """Exact auxiliary weights u = g'(x)/x, entrywise, clamped to u_max.

@@ -133,17 +133,24 @@ class Xoshiro256pp:
     def subset(self, n_total: int, n_draw: int) -> np.ndarray:
         """Sample ``n_draw`` distinct indices from range(n_total), sorted.
 
-        Partial Fisher-Yates; the returned set is sorted ascending so that
-        downstream reductions run in a fixed order.  ``n_draw == n_total``
-        returns ``arange(n_total)`` exactly.
+        Partial Fisher-Yates over a sparse pool: ``moved`` maps each
+        position a swap has written to its value, and any other position
+        still holds its own index.  A draw costs O(n_draw) whatever
+        ``n_total`` is and makes the same ``below`` calls as swaps over
+        the full list ``range(n_total)``, so it returns the same indices.
+        The returned set is sorted ascending so that downstream reductions
+        run in a fixed order.  ``n_draw == n_total`` returns
+        ``arange(n_total)`` exactly.
         """
         if not 0 < n_draw <= n_total:
             raise ValueError(f"need 0 < n_draw <= n_total, got {n_draw}, {n_total}")
-        pool = list(range(n_total))
+        moved = {}
+        picked = []
         for j in range(n_draw):
             r = j + self.below(n_total - j)
-            pool[j], pool[r] = pool[r], pool[j]
-        out = np.array(pool[:n_draw], dtype=np.int64)
+            picked.append(moved.get(r, r))
+            moved[r] = moved.get(j, j)
+        out = np.array(picked, dtype=np.int64)
         out.sort()
         return out
 

@@ -3,7 +3,9 @@
 One outer iteration is one straight pass over one gathered minibatch:
 
 1. draw the minibatch index sets (stochastic mode only) and gather the
-   batch signals once;
+   batch signals once, component-major: ``batch`` is
+   ``z[trials][:, :, times]`` transposed to one C-contiguous (C, n, tau)
+   array (a full batch fit makes this copy once, before iteration 1);
 2. step every supervised head theta with its first-order rule, using the
    gradient of the mean supervised loss at the current W;
 3. refresh the auxiliary weights at the sampled (trial, time) entries
@@ -12,7 +14,11 @@ One outer iteration is one straight pass over one gathered minibatch:
 5. sweep the rows of W cyclically, each row minimized in closed form.
 
 Steps 2 and 4 share one feature forward per head: the features depend on
-W and the trials only, not on theta.  Steps 2 and 3 touch disjoint
+W and the trials only, not on theta.  Steps 3 to 5 work on ``batch`` as
+one (C, n*tau) matrix: the sources are ``W @ batch``, the fresh aux block
+has the same layout (and is scattered into the (N, C, T) store through a
+transposed view), B is one matrix-vector product per head and all C
+matrices A_c come from one blocked pass.  Steps 2 and 3 touch disjoint
 variables, neither reads the other's output, and the draws happen before
 either, so swapping them would give bit-identical fits.
 
@@ -315,14 +321,20 @@ def _fit(dataset, config, ground_truth, stochastic,
                                  config.beta1, config.beta2, config.eps)
                   for m in models]
 
-    aux = np.asarray(aux_exact(
-        np.einsum("cd,ndt->nct", state.w, z), density, config.u_max))
+    aux = np.asarray(aux_exact(np.matmul(state.w, z), density,
+                               config.u_max))
     trace = Trace()
 
-    full_trials = np.arange(n_trials)
-    full_times = np.arange(samples)
+    # component-major views (C, N, T) of the data and of the aux store; a
+    # batch is gathered from the first and its aux block scattered into
+    # the second with one index ``ix``
+    z_t = z.transpose(1, 0, 2)
+    aux_t = aux.transpose(1, 0, 2)
     all_channels = np.arange(channels)
     coupled = n_targets and config.lam > 0.0
+    if not stochastic:  # the batch is the whole dataset, every iteration
+        trials_k = times_k = ix = slice(None)
+        batch = np.ascontiguousarray(z_t)
 
     def record(k):
         trace.records.append(_snapshot(
@@ -337,11 +349,11 @@ def _fit(dataset, config, ground_truth, stochastic,
             if stochastic:
                 trials_k = rng.subset(n_trials, batch_n)
                 times_k = rng.subset(samples, batch_tau)
-            else:
-                trials_k, times_k = full_trials, full_times
-            sub = z[trials_k]
-            sub_t = sub[:, :, times_k]
+                ix = np.ix_(all_channels, trials_k, times_k)
+                batch = z_t[ix]         # C-contiguous (C, n, tau)
             labels_k = labels[trials_k]
+            # the heads read every sample of the batch trials
+            sub = z[trials_k] if models else None
 
             grad_s = []
             for m, (model, opt) in enumerate(zip(models, optimizers)):
@@ -356,24 +368,21 @@ def _fit(dataset, config, ground_truth, stochastic,
                         model, phi, labels_k[:, m], need_grad_theta=False)
                     grad_s.append(supervision._adjoint_from_ctx(
                         ctx, grad_phi, samples, fm_cfg))
-            # each batch copy is released after its last read; in a full
-            # batch fit every one of them is the size of the dataset
             del sub
 
-            ix = np.ix_(trials_k, all_channels, times_k)
-            x_sub = np.einsum("cd,ndt->nct", state.w, sub_t)
+            x = state.w @ batch.reshape(channels, -1)
             if config.aux_mode == "exact":
-                aux_k = aux_exact(x_sub, density, config.u_max)
+                aux_k = aux_exact(x, density, config.u_max)
             else:
-                aux_k = aux_proximal(x_sub, aux[ix], config.eta_a,
-                                     density, config.u_max)
-            aux[ix] = aux_k
-            del x_sub
+                aux_k = aux_proximal(x, aux_t[ix].reshape(channels, -1),
+                                     config.eta_a, density, config.u_max)
+            del x
+            aux_t[ix] = aux_k.reshape(batch.shape)
 
-            b_mat = compute_B(grad_s, sub_t, times_k)
-            a_of = make_a_provider(aux_k, sub_t)
+            b_mat = compute_B(grad_s, batch, times_k)
+            a_of = make_a_provider(aux_k, batch)
             state = cyclic_sweep(state, a_of, b_mat, config.eta_u, config.lam)
-            del sub_t, aux_k, a_of
+            del aux_k, a_of
             if state.logabsdet < _LOGDET_FLOOR_PER_CHANNEL * channels:
                 raise FactorizationError(
                     f"log|det W| collapsed to {state.logabsdet:.3g} "
@@ -400,7 +409,7 @@ def _draw_invertible_init(rng, channels, scale):
 def _snapshot(k, state, models, aux, z, labels, density, fm_cfg, config,
               ground_truth, t_start) -> TraceRecord:
     n, _, t = z.shape
-    x = np.einsum("cd,ndt->nct", state.w, z)
+    x = np.matmul(state.w, z)
     loss_unsup = float(-state.logabsdet + density.g(x).sum() / (n * t))
     loss_sup = 0.0
     for m, model in enumerate(models):

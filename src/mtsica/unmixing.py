@@ -25,8 +25,8 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "UnmixingState", "FactorizationError", "compute_A_c", "compute_B",
-    "row_update", "cyclic_sweep", "per_iteration_objective",
+    "UnmixingState", "FactorizationError", "weighted_moments",
+    "make_a_provider", "compute_B", "row_update", "cyclic_sweep",
 ]
 
 
@@ -70,48 +70,72 @@ def _eta_inv(eta_u: float) -> float:
     return 0.0 if np.isinf(eta_u) else 1.0 / eta_u
 
 
-def compute_A_c(u_c: np.ndarray, signals: np.ndarray, trials: np.ndarray,
-                times: np.ndarray) -> np.ndarray:
-    """Weighted observation second moment for one component.
+# Batch columns per block of the A_c pass.  For C <= 10 one block's pair
+# products (at most 55 x 4000 floats) stay in a 2 MB cache; a power of two
+# is avoided because power-of-two row strides alias in cache (at C = 10 on
+# a 2-vCPU Xeon with OpenBLAS, 2048 columns ran about 35% slower than 4000).
+_A_BLOCK = 4000
 
-    A_c = (1/(n*tau)) * sum_{i in trials} sum_{t in times}
-          u_c[i, t] * z_i[:, t] z_i[:, t]^T
 
-    Parameters
-    ----------
-    u_c : ndarray, shape (N, T)
-        Auxiliary weights of component c for every trial/time.
-    signals : ndarray, shape (N, C, T)
-    trials, times : int arrays
-        Index sets defining the (mini)batch; full ranges recover the
-        batch quantity.
+def weighted_moments(u_batch: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """Every U-weighted second moment of one gathered (mini)batch.
+
+    Returns ``a`` of shape (C, C, C) with ``a[c] = A_c``::
+
+        A_c = (1/(n*tau)) * sum_{i in trials} sum_{t in times}
+              u_c[i, t] * z_i[:, t] z_i[:, t]^T
+
+    ``batch`` is the component-major batch ``z[trials][:, :, times]``
+    transposed to (C, n, tau) and ``u_batch`` its auxiliary weights in the
+    same layout (any trailing shape works; only the C-row layout matters).
+    One pass over the columns in blocks of ``_A_BLOCK``: each block forms
+    the C(C+1)/2 products z_a z_b (a <= b) of the batch rows in one reused
+    buffer and adds a single matrix product with the weight block, so all
+    C matrices cost one read of the batch and no (n*tau) x C^2 array is
+    ever built.  Each A_c is filled from its upper triangle and so is
+    exactly symmetric.
     """
-    sub = signals[trials][:, :, times]                  # (n, C, tau)
-    n, c, tau = sub.shape
-    flat = sub.transpose(1, 0, 2).reshape(c, n * tau)   # (C, n*tau)
-    weights = u_c[trials][:, times].reshape(n * tau)
-    return (flat * weights) @ flat.T / (n * tau)
+    c_dim = batch.shape[0]
+    flat = batch.reshape(c_dim, -1)
+    weights = u_batch.reshape(c_dim, -1)
+    cols = flat.shape[1]
+    upper, lower = np.triu_indices(c_dim)
+    acc = np.zeros((c_dim, len(upper)))
+    pairs = np.empty((len(upper), min(_A_BLOCK, cols)))
+    for start in range(0, cols, _A_BLOCK):
+        block = flat[:, start:start + _A_BLOCK]
+        prod = pairs[:, :block.shape[1]]
+        row = 0
+        for a in range(c_dim):
+            np.multiply(block[a:], block[a], out=prod[row:row + c_dim - a])
+            row += c_dim - a
+        acc += weights[:, start:start + _A_BLOCK] @ prod.T
+    acc /= cols
+    a_set = np.empty((c_dim, c_dim, c_dim))
+    a_set[:, upper, lower] = acc
+    a_set[:, lower, upper] = acc
+    return a_set
 
 
-def make_a_provider(u_sub: np.ndarray, sub: np.ndarray):
+def make_a_provider(u_batch: np.ndarray, batch: np.ndarray):
     """Return ``c -> A_c`` for one gathered (mini)batch.
 
-    ``sub`` is the batch ``z[trials][:, :, times]`` of shape (n, C, tau)
-    and ``u_sub`` its auxiliary weights, same shape.  A_c matrices are
-    recomputed per row and never stored as a set; this keeps peak memory
-    at one C x C matrix plus the batch.
+    ``batch`` and ``u_batch`` are as in :func:`weighted_moments`.  The
+    first call builds all C matrices in one blocked pass (C^3 floats next
+    to the batch); later calls look them up.
     """
-    n, c, tau = sub.shape
-    flat = sub.transpose(1, 0, 2).reshape(c, n * tau)
+    a_set = None
 
     def a_of(comp: int) -> np.ndarray:
-        weights = u_sub[:, comp, :].reshape(n * tau)
-        return (flat * weights) @ flat.T / (n * tau)
+        nonlocal a_set
+        if a_set is None:
+            a_set = weighted_moments(u_batch, batch)
+        return a_set[comp]
 
     return a_of
 
 
-def compute_B(grad_s, sub: np.ndarray, times: np.ndarray) -> np.ndarray:
+def compute_B(grad_s, batch: np.ndarray, times) -> np.ndarray:
     """Supervised coupling matrix; row m drives the update of W row m.
 
     Row m is the minibatch estimate of the gradient of the mean supervised
@@ -122,16 +146,20 @@ def compute_B(grad_s, sub: np.ndarray, times: np.ndarray) -> np.ndarray:
 
     ``grad_s[m]``, shape (n, T), is that source gradient for the batch
     trials on the *full* time axis (the feature windows couple all
-    samples); ``sub`` is the batch ``z[trials][:, :, times]``, shape
-    (n, C, tau).  The T/tau factor makes the estimator unbiased in the
-    time draw.  Rows beyond ``len(grad_s)`` are zero.  The supervision
-    weight lam is *not* folded in here; it enters in the row objective.
+    samples); ``batch`` is the component-major batch
+    ``z[trials][:, :, times]`` transposed to (C, n, tau), and ``times``
+    indexes the time axis of ``grad_s[m]`` (an index array or a slice).
+    Each row is one matrix-vector product of the batch with the gathered
+    gradient.  The T/tau factor makes the estimator unbiased in the time
+    draw.  Rows beyond ``len(grad_s)`` are zero.  The supervision weight
+    lam is *not* folded in here; it enters in the row objective.
     """
-    n, c, tau = sub.shape
+    c, n, tau = batch.shape
+    flat = batch.reshape(c, n * tau)
     b_mat = np.zeros((c, c))
     for m, grad in enumerate(grad_s):
-        b_mat[m] = (grad.shape[1] / tau) * np.einsum(
-            "nt,nct->c", grad[:, times], sub) / n
+        b_mat[m] = (grad.shape[1] / tau) * (
+            flat @ grad[:, times].reshape(n * tau)) / n
     return b_mat
 
 
@@ -201,28 +229,3 @@ def cyclic_sweep(state: UnmixingState, a_of, b_mat: np.ndarray,
     for comp in range(state.channels):
         state = row_update(state, a_of(comp), b_mat, comp, eta_u, lam)
     return state
-
-
-def per_iteration_objective(w: np.ndarray, w_anchor: np.ndarray, a_of,
-                            b_mat: np.ndarray, eta_u: float,
-                            lam: float) -> float:
-    """Value of the quadratic surrogate the sweep minimizes row-by-row.
-
-    J(W) = -log|det W| + (1/2) sum_c W_c A_c W_c^T + lam * <B, W>
-           + (1/(2*eta_u)) |W - W_anchor|_F^2
-
-    ``a_of`` maps a component index to its A_c matrix, as in
-    :func:`cyclic_sweep`.  With ``eta_u = inf`` the proximal term drops
-    out.  Returns +inf for a singular W (outside the domain).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    sign, logdet = np.linalg.slogdet(w)
-    if sign == 0.0 or not np.isfinite(logdet):
-        return float("inf")
-    quad = 0.5 * sum(float(w[c] @ a_of(c) @ w[c]) for c in range(w.shape[0]))
-    value = -logdet + quad + lam * float(np.sum(b_mat * w))
-    inv_eta = _eta_inv(eta_u)
-    if inv_eta:
-        diff = w - w_anchor
-        value += 0.5 * inv_eta * float(np.sum(diff * diff))
-    return value

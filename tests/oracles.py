@@ -1,0 +1,63 @@
+"""Reference implementations the tests compare the package against.
+
+Each is the plain, per-row form of a quantity the solver computes in a
+faster layout, or an objective the solver never evaluates but whose
+descent the tests check.
+"""
+
+import numpy as np
+
+
+def compute_A_c(u_c, signals, trials, times):
+    """Weighted observation second moment for one component.
+
+    A_c = (1/(n*tau)) * sum_{i in trials} sum_{t in times}
+          u_c[i, t] * z_i[:, t] z_i[:, t]^T
+
+    ``u_c`` (N, T) holds the auxiliary weights of component c, ``signals``
+    is (N, C, T); full index ranges give the batch quantity.
+    """
+    sub = signals[trials][:, :, times]                  # (n, C, tau)
+    n, c, tau = sub.shape
+    flat = sub.transpose(1, 0, 2).reshape(c, n * tau)   # (C, n*tau)
+    weights = u_c[trials][:, times].reshape(n * tau)
+    return (flat * weights) @ flat.T / (n * tau)
+
+
+def per_iteration_objective(w, w_anchor, a_of, b_mat, eta_u, lam):
+    """Value of the quadratic surrogate the sweep minimizes row by row.
+
+    J(W) = -log|det W| + (1/2) sum_c W_c A_c W_c^T + lam * <B, W>
+           + (1/(2*eta_u)) |W - W_anchor|_F^2
+
+    ``a_of`` maps a component index to its A_c matrix.  With
+    ``eta_u = inf`` the proximal term drops out.  Returns +inf for a
+    singular W (outside the domain).
+    """
+    w = np.asarray(w, dtype=np.float64)
+    sign, logdet = np.linalg.slogdet(w)
+    if sign == 0.0 or not np.isfinite(logdet):
+        return float("inf")
+    quad = 0.5 * sum(float(w[c] @ a_of(c) @ w[c]) for c in range(w.shape[0]))
+    value = -logdet + quad + lam * float(np.sum(b_mat * w))
+    if not np.isinf(eta_u):
+        diff = w - w_anchor
+        value += 0.5 * (1.0 / eta_u) * float(np.sum(diff * diff))
+    return value
+
+
+def unsup_loss(logabsdet, sources, density):
+    """Per-trial unsupervised loss -log|det W| + (1/T) sum g(x) of the
+    sources x = W z, shape (C, T), of one trial."""
+    t = sources.shape[-1]
+    return float(-logabsdet + density.g(sources).sum() / t)
+
+
+def subset_full_list(rng, n_total, n_draw):
+    """``Xoshiro256pp.subset`` as a partial Fisher-Yates swap over the
+    whole list ``range(n_total)``, sorted."""
+    pool = list(range(n_total))
+    for j in range(n_draw):
+        r = j + rng.below(n_total - j)
+        pool[j], pool[r] = pool[r], pool[j]
+    return np.sort(np.array(pool[:n_draw], dtype=np.int64))

@@ -24,8 +24,9 @@ from mtsica.solver import (SolverAbort, SolverConfig, compute_rate_guards,
 from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
                                 batch_loss_grads, init_model, theta_shape)
 from mtsica.synthgen import gen_dataset
-from mtsica.unmixing import (UnmixingState, compute_A_c, compute_B,
-                             per_iteration_objective, row_update)
+from mtsica.unmixing import (UnmixingState, compute_B, row_update,
+                             weighted_moments)
+from oracles import per_iteration_objective
 
 CONT = TargetSchema("y", "continuous")
 CAT3 = TargetSchema("k", "categorical", n_classes=3)
@@ -301,8 +302,17 @@ def test_7_minibatch_estimators_are_unbiased():
     tr_subsets = [np.array(p) for p in combinations(range(4), 2)]
     tm_subsets = [np.array(p) for p in combinations(range(4), 2)]
 
-    want = compute_A_c(u_c, z, full_tr, full_tm)
-    got = np.mean([compute_A_c(u_c, z, tr, tm)
+    # every A_c as the solver builds it: the component-major batch and its
+    # aux block, gathered with one index from (N, C, T) arrays
+    u = np.stack([u_c, u_c[::-1]], axis=1)
+
+    def moments(tr, tm):
+        ix = np.ix_(np.arange(2), tr, tm)
+        return weighted_moments(u.transpose(1, 0, 2)[ix],
+                                z.transpose(1, 0, 2)[ix])
+
+    want = moments(full_tr, full_tm)
+    got = np.mean([moments(tr, tm)
                    for tr in tr_subsets for tm in tm_subsets], axis=0)
     err_a = float(np.max(np.abs(got - want)))
     assert err_a < 1e-12
@@ -317,7 +327,7 @@ def test_7_minibatch_estimators_are_unbiased():
         src = np.einsum("c,nct->nt", w[0], sub)
         _, grad_s, _ = batch_loss_grads(model, src, labels[tr, 0], fm,
                                         need_grad_theta=False)
-        return compute_B([grad_s], sub[:, :, tm], tm)
+        return compute_B([grad_s], sub[:, :, tm].transpose(1, 0, 2), tm)
 
     want = coupling(full_tr, full_tm)
     got = np.mean([coupling(tr, tm)

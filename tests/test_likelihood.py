@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from mtsica.likelihood import (DEFAULT_U_MAX, aux_exact, aux_proximal,
-                               get_density, unsup_loss, variational_value)
+                               get_density, variational_value)
+from oracles import unsup_loss
 
 LAP = get_density("laplace")
 HUB = get_density("huber")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mtsica.prng import (Xoshiro256pp, Xoshiro256ppStreams,
                          derive_stream_seed, splitmix64_mix)
+from oracles import subset_full_list
 
 
 def test_splitmix_mix_is_deterministic_and_64bit():
@@ -131,6 +132,20 @@ def test_subset_full_draw_is_arange():
     rng = Xoshiro256pp(1)
     for n in (1, 2, 5, 17):
         assert np.array_equal(rng.subset(n, n), np.arange(n))
+
+
+@pytest.mark.parametrize("n_total", [1, 7, 500])
+def test_subset_matches_full_list_fisher_yates(n_total):
+    # the sparse pool returns the indices of a swap over the whole list
+    # and leaves the generator in the same state (same below() calls)
+    for n_draw in sorted({1, max(1, n_total // 3), n_total}):
+        for seed in range(5):
+            sparse, full = Xoshiro256pp(seed), Xoshiro256pp(seed)
+            got = sparse.subset(n_total, n_draw)
+            want = subset_full_list(full, n_total, n_draw)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert sparse.next_u64() == full.next_u64()
 
 
 def test_subset_rejects_bad_sizes():

@@ -18,7 +18,7 @@ from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
                                 batch_loss_grads, init_model, make_optimizer,
                                 optimizer_step)
 from mtsica.synthgen import gen_dataset
-from mtsica.unmixing import compute_A_c, cyclic_sweep
+from mtsica.unmixing import compute_B, cyclic_sweep, make_a_provider
 
 FM16 = FeatureMapConfig(window=16, hop=8)
 # log-compressed features keep label magnitudes O(10); raw powers at this
@@ -173,11 +173,11 @@ def test_stochastic_fit_matches_reference_loop(aux_mode):
               for s in ds.targets]
     opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta, cfg.beta1,
                            cfg.beta2, cfg.eps) for m in models]
-    aux = aux_exact(np.einsum("cd,ndt->nct", state.w, z), density,
-                    cfg.u_max)
+    aux = aux_exact(np.matmul(state.w, z), density, cfg.u_max)
+    aux_t, z_t = aux.transpose(1, 0, 2), z.transpose(1, 0, 2)
 
     def snapshot(k):
-        x = np.einsum("cd,ndt->nct", state.w, z)
+        x = np.matmul(state.w, z)
         loss_sup = 0.0
         for m, model in enumerate(models):
             losses, _, _ = batch_loss_grads(model, x[:, m, :], labels[:, m],
@@ -204,25 +204,21 @@ def test_stochastic_fit_matches_reference_loop(aux_mode):
                                           labels[trials, m], FM16L,
                                           need_grad_s=False)
             model.theta = optimizer_step(opt, model.theta, grad, cfg.mu)
-        ix = np.ix_(trials, np.arange(c_dim), times)
-        x_sub = np.einsum("cd,ndt->nct", state.w, z[trials][:, :, times])
+        ix = np.ix_(np.arange(c_dim), trials, times)
+        batch = z_t[ix]                              # (C, n, tau)
+        x = state.w @ batch.reshape(c_dim, -1)
         if aux_mode == "exact":
-            aux[ix] = aux_exact(x_sub, density, cfg.u_max)
+            u_batch = aux_exact(x, density, cfg.u_max)
         else:
-            aux[ix] = aux_proximal(x_sub, aux[ix], cfg.eta_a, density,
-                                   cfg.u_max)
-        b_mat = np.zeros((c_dim, c_dim))
-        for m, model in enumerate(models):
-            _, grad_s, _ = batch_loss_grads(model, sources[m],
-                                            labels[trials, m], FM16L,
-                                            need_grad_theta=False)
-            b_mat[m] = (t_all / len(times)) * np.einsum(
-                "nt,nct->c", grad_s[:, times],
-                z[trials][:, :, times]) / len(trials)
-        a_set = [compute_A_c(aux[:, c, :], z, trials, times)
-                 for c in range(c_dim)]
-        state = cyclic_sweep(state, a_set.__getitem__, b_mat, cfg.eta_u,
-                             cfg.lam)
+            u_batch = aux_proximal(x, aux_t[ix].reshape(c_dim, -1),
+                                   cfg.eta_a, density, cfg.u_max)
+        aux_t[ix] = u_batch.reshape(batch.shape)
+        grads = [batch_loss_grads(model, sources[m], labels[trials, m],
+                                  FM16L, need_grad_theta=False)[1]
+                 for m, model in enumerate(models)]
+        b_mat = compute_B(grads, batch, times)
+        state = cyclic_sweep(state, make_a_provider(u_batch, batch), b_mat,
+                             cfg.eta_u, cfg.lam)
         want.append(snapshot(k))
 
     assert np.array_equal(res.w_state.w, state.w)

@@ -6,12 +6,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mtsica import unmixing
 from mtsica.data import TargetSchema
+from mtsica.likelihood import aux_exact, get_density
 from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
                                 batch_loss_grads)
-from mtsica.unmixing import (FactorizationError, UnmixingState, compute_A_c,
-                             compute_B, cyclic_sweep, make_a_provider,
-                             per_iteration_objective, row_update)
+from mtsica.unmixing import (FactorizationError, UnmixingState, compute_B,
+                             cyclic_sweep, make_a_provider, row_update,
+                             weighted_moments)
+from oracles import compute_A_c, per_iteration_objective
 
 
 def full_idx(n):
@@ -81,16 +84,46 @@ def test_a_c_symmetric_psd():
     assert np.linalg.eigvalsh(a).min() > -1e-12
 
 
+def component_major(x, trials, times):
+    """The solver's batch layout: ``x[trials][:, :, times]`` of an
+    (N, C, T) array as one C-contiguous (C, n, tau) array."""
+    return x.transpose(1, 0, 2)[np.ix_(np.arange(x.shape[1]), trials, times)]
+
+
 def test_a_provider_matches_direct_computation():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(4, 3, 7))
     u = rng.uniform(0.1, 2.0, size=(4, 3, 7))
     trials = np.array([1, 3])
     times = np.array([0, 2, 5])
-    a_of = make_a_provider(u[trials][:, :, times], z[trials][:, :, times])
+    a_of = make_a_provider(component_major(u, trials, times),
+                           component_major(z, trials, times))
     for c in range(3):
         want = compute_A_c(u[:, c, :], z, trials, times)
-        assert np.array_equal(a_of(c), want)
+        np.testing.assert_allclose(a_of(c), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("c_dim", [1, 2, 10])
+@pytest.mark.parametrize("cols", ["below", "equal", "not_multiple"])
+def test_blocked_a_pass_matches_per_row_oracle(c_dim, cols):
+    # every A_c of one pass equals the per-row oracle, across the block
+    # boundaries of the pass, with weights clamped at u_max
+    block = unmixing._A_BLOCK
+    n, tau = {"below": (3, 7), "equal": (8, block // 8),
+              "not_multiple": (3, (2 * block + 3) // 3)}[cols]
+    rng = np.random.default_rng(20 + c_dim)
+    z = rng.normal(size=(n, c_dim, tau + 5))
+    trials, times = np.arange(n), np.arange(2, tau + 2)
+    w = np.eye(c_dim) + 0.3 * rng.normal(size=(c_dim, c_dim))
+    u = aux_exact(np.matmul(w, z), get_density("laplace"), u_max=2.0)
+    assert np.any(u == 2.0) and np.any(u < 2.0)
+    a_set = weighted_moments(component_major(u, trials, times),
+                             component_major(z, trials, times))
+    assert a_set.shape == (c_dim, c_dim, c_dim)
+    for c in range(c_dim):
+        want = compute_A_c(u[:, c, :], z, trials, times)
+        np.testing.assert_allclose(a_set[c], want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(a_set[c], a_set[c].T)
 
 
 def test_a_c_subset_average_is_unbiased():
@@ -115,7 +148,7 @@ def coupling(w, models, cfg, z, labels, trials, times):
                                labels[trials, m], cfg,
                                need_grad_theta=False)[1]
               for m, model in enumerate(models)]
-    return compute_B(grad_s, sub[:, :, times], times)
+    return compute_B(grad_s, component_major(z, trials, times), times)
 
 
 def test_b_empty_models_is_zero():
@@ -319,7 +352,7 @@ def test_sweep_converges_then_stalls():
     rng = np.random.default_rng(16)
     z = rng.normal(size=(3, 3, 50))
     u = np.ones((3, 3, 50))
-    a_of = make_a_provider(u, z)
+    a_of = make_a_provider(u.transpose(1, 0, 2), z.transpose(1, 0, 2))
     st = UnmixingState.from_matrix(np.eye(3))
     for _ in range(400):
         st = cyclic_sweep(st, a_of, np.zeros((3, 3)), np.inf, 0.0)
