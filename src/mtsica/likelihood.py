@@ -28,7 +28,9 @@ class SuperGaussianDensity:
 
     ``f`` is the convex conjugate-style penalty such that
     ``g(x) = min_u u*x^2/2 + f(u)``; it is ``None`` when no closed form is
-    implemented (the proximal aux update is then unavailable).
+    implemented (the proximal aux update is then unavailable).  ``g`` and
+    ``f`` take an optional ``out`` array and ``exact_weights`` a required
+    one; each writes its result there and returns it.
     """
 
     name: str
@@ -42,25 +44,34 @@ class SuperGaussianDensity:
         return self.f is not None
 
 
-def _laplace_weights(x, u_max):
-    # u = g'(x)/x = 1/|x|, clamped to [0, u_max]
-    ax = np.abs(x)
+def _laplace_weights(x, u_max, out):
+    # u = g'(x)/x = 1/|x|, clamped to [0, u_max]; one array, in place
+    u = np.abs(x, out=out)
     with np.errstate(divide="ignore"):
-        u = 1.0 / ax
-    return np.minimum(u, u_max)
+        np.divide(1.0, u, out=u)
+    return np.minimum(u, u_max, out=u)
 
 
-def _huber_g(x):
+def _laplace_f(u, out=None):
+    return np.divide(0.5, u, out=out)
+
+
+def _huber_g(x, out=None):
+    # 0.5 x^2 where |x| <= 1, |x| - 0.5 in the linear tails
     ax = np.abs(x)
-    return np.where(ax <= 1.0, 0.5 * x * x, ax - 0.5)
+    if out is None:
+        out = np.empty_like(ax)
+    np.subtract(ax, 0.5, out=out)
+    return np.multiply(0.5 * x, x, out=out, where=ax <= 1.0)
 
 
-def _huber_weights(x, u_max):
+def _huber_weights(x, u_max, out):
     # g'(x)/x = 1 in the quadratic region, 1/|x| in the linear tails
     ax = np.abs(x)
     with np.errstate(divide="ignore"):
-        tail = 1.0 / ax
-    return np.minimum(np.where(ax <= 1.0, 1.0, tail), u_max)
+        u = np.divide(1.0, ax, out=out)
+    np.copyto(u, 1.0, where=ax <= 1.0)
+    return np.minimum(u, u_max, out=u)
 
 
 LAPLACE = SuperGaussianDensity(
@@ -68,7 +79,7 @@ LAPLACE = SuperGaussianDensity(
     g=np.abs,
     g_prime=np.sign,
     exact_weights=_laplace_weights,
-    f=lambda u: 0.5 / u,
+    f=_laplace_f,
 )
 
 HUBER = SuperGaussianDensity(
@@ -91,13 +102,18 @@ def get_density(name: str) -> SuperGaussianDensity:
 
 
 def aux_exact(sources: np.ndarray, density: SuperGaussianDensity,
-              u_max: float = DEFAULT_U_MAX) -> np.ndarray:
+              u_max: float = DEFAULT_U_MAX,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact auxiliary weights u = g'(x)/x, entrywise, clamped to u_max.
 
     These minimize the variational bound for fixed sources; works for any
-    array shape.
+    array shape.  ``out``, a float64 array of the sources' shape (any
+    memory layout), receives the weights in place and is returned; the
+    values are the same bits as without it.
     """
-    return density.exact_weights(np.asarray(sources, dtype=np.float64), u_max)
+    x = np.asarray(sources, dtype=np.float64)
+    return density.exact_weights(
+        x, u_max, np.empty_like(x) if out is None else out)
 
 
 def aux_proximal(sources: np.ndarray, u_prev: np.ndarray, eta_a: float,
@@ -159,9 +175,19 @@ def aux_proximal(sources: np.ndarray, u_prev: np.ndarray, eta_a: float,
 
 
 def variational_value(sources: np.ndarray, u: np.ndarray,
-                      density: SuperGaussianDensity) -> np.ndarray:
-    """Entrywise bound value u*x^2/2 + f(u); requires a closed-form f."""
+                      density: SuperGaussianDensity,
+                      out: Optional[np.ndarray] = None,
+                      scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """Entrywise bound value u*x^2/2 + f(u); requires a closed-form f.
+
+    ``u`` has the sources' shape.  ``out`` receives the value and
+    ``scratch`` holds f(u) on the way (both arrays of that shape, fresh
+    when not given); neither may share memory with the inputs.
+    """
     if not density.has_f:
         raise ValueError(f"density {density.name!r} has no closed-form f")
     x = np.asarray(sources, dtype=np.float64)
-    return 0.5 * u * x * x + density.f(u)
+    value = np.multiply(0.5, u, out=out)
+    np.multiply(value, x, out=value)
+    np.multiply(value, x, out=value)
+    return np.add(value, density.f(u, out=scratch), out=value)

@@ -16,11 +16,18 @@ One outer iteration is one straight pass over one gathered minibatch:
 Steps 2 and 4 share one feature forward per head: the features depend on
 W and the trials only, not on theta.  Steps 3 to 5 work on ``batch`` as
 one (C, n*tau) matrix: the sources are ``W @ batch``, the fresh aux block
-has the same layout (and is scattered into the (N, C, T) store through a
-transposed view), B is one matrix-vector product per head and all C
+has the same layout, B is one matrix-vector product per head and all C
 matrices A_c come from one blocked pass.  Steps 2 and 3 touch disjoint
 variables, neither reads the other's output, and the draws happen before
 either, so swapping them would give bit-identical fits.
+
+The aux store is component-major, (C, N, T), so a batch's aux block is
+read and written with the same index as its signals.  A full batch fit
+computes the sources ``W @ batch`` once per W: before iteration 1 and
+right after each sweep, into one reused array.  The trace snapshot of
+that W and the aux refresh of the next iteration both read that array,
+and the exact refresh overwrites the whole store in place.  A stochastic
+fit recomputes ``W z`` over the whole dataset at each snapshot only.
 
 All randomness (initialization, minibatch draws) comes from one
 deterministic stream seeded by ``config.seed``, consumed in a documented
@@ -254,7 +261,12 @@ class FitResult(NamedTuple):
 def fit_full_batch(dataset: Dataset, config: SolverConfig,
                    ground_truth: Optional[np.ndarray] = None,
                    _iter_hook=None) -> FitResult:
-    """Deterministic full-batch fit (every trial and sample each step)."""
+    """Deterministic full-batch fit (every trial and sample each step).
+
+    ``_iter_hook(k, state, models, aux)`` runs at k = 0 and after each
+    iteration k.  Its ``aux`` is an (N, C, T) view of the live aux store,
+    which the next iteration overwrites: copy it to keep it.
+    """
     return _fit(dataset, config, ground_truth, stochastic=False,
                 iter_hook=_iter_hook)
 
@@ -268,7 +280,9 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
     Auxiliary weights are refreshed only at sampled entries; unsampled
     entries carry over from earlier iterations (all start from one exact
     pass at the initial W).  With full-size batches this reproduces
-    :func:`fit_full_batch` exactly.
+    :func:`fit_full_batch` exactly (the trace up to summation order).
+    ``_iter_hook`` is called as in :func:`fit_full_batch`; its ``aux`` is
+    an (N, C, T) view of the live store, so copy it to keep it.
     """
     return _fit(dataset, config, ground_truth, stochastic=True,
                 iter_hook=_iter_hook)
@@ -321,29 +335,44 @@ def _fit(dataset, config, ground_truth, stochastic,
                                  config.beta1, config.beta2, config.eps)
                   for m in models]
 
-    aux = np.asarray(aux_exact(np.matmul(state.w, z), density,
-                               config.u_max))
     trace = Trace()
 
-    # component-major views (C, N, T) of the data and of the aux store; a
-    # batch is gathered from the first and its aux block scattered into
-    # the second with one index ``ix``
+    # the data seen component-major, (C, N, T), like the aux store: a
+    # batch's signals are gathered and its aux block scattered with one
+    # index ``ix``
     z_t = z.transpose(1, 0, 2)
-    aux_t = aux.transpose(1, 0, 2)
     all_channels = np.arange(channels)
     coupled = n_targets and config.lam > 0.0
-    if not stochastic:  # the batch is the whole dataset, every iteration
+    if stochastic:
+        xs = scratch = None
+    else:  # the batch is the whole dataset, every iteration
         trials_k = times_k = ix = slice(None)
         batch = np.ascontiguousarray(z_t)
+        # W z, recomputed in place after each sweep; read by the snapshot
+        # and by the next aux refresh
+        xs = state.w @ batch.reshape(channels, -1)
+        scratch = (np.empty(batch.shape), np.empty(batch.shape))
+
+    def sources():
+        """W z as a (C, N, T) array (a view of (N, C, T) memory in
+        stochastic mode, where snapshots sum in that order)."""
+        if stochastic:
+            return np.matmul(state.w, z).transpose(1, 0, 2)
+        return xs.reshape(batch.shape)
+
+    aux = aux_exact(sources(), density, config.u_max,
+                    out=np.empty(z_t.shape))
+    aux_flat = aux.reshape(channels, -1)
+    aux_view = aux.transpose(1, 0, 2)    # (N, C, T), for the hook
 
     def record(k):
         trace.records.append(_snapshot(
-            k, state, models, aux, z, labels, density, fm_cfg,
-            config, ground_truth, t_start))
+            k, state, models, sources(), aux, labels, density, fm_cfg,
+            config, ground_truth, t_start, scratch))
 
     record(0)
     if iter_hook is not None:
-        iter_hook(0, state, models, aux)
+        iter_hook(0, state, models, aux_view)
     try:
         for k in range(1, config.iterations + 1):
             if stochastic:
@@ -370,14 +399,18 @@ def _fit(dataset, config, ground_truth, stochastic,
                         ctx, grad_phi, samples, fm_cfg))
             del sub
 
-            x = state.w @ batch.reshape(channels, -1)
+            x = (state.w @ batch.reshape(channels, -1) if stochastic
+                 else xs)
             if config.aux_mode == "exact":
-                aux_k = aux_exact(x, density, config.u_max)
+                # a full batch refreshes the whole store in place
+                aux_k = aux_exact(x, density, config.u_max,
+                                  out=None if stochastic else aux_flat)
             else:
-                aux_k = aux_proximal(x, aux_t[ix].reshape(channels, -1),
+                aux_k = aux_proximal(x, aux[ix].reshape(channels, -1),
                                      config.eta_a, density, config.u_max)
             del x
-            aux_t[ix] = aux_k.reshape(batch.shape)
+            if aux_k is not aux_flat:
+                aux[ix] = aux_k.reshape(batch.shape)
 
             b_mat = compute_B(grad_s, batch, times_k)
             a_of = make_a_provider(aux_k, batch)
@@ -387,8 +420,10 @@ def _fit(dataset, config, ground_truth, stochastic,
                 raise FactorizationError(
                     f"log|det W| collapsed to {state.logabsdet:.3g} "
                     f"at iteration {k}")
+            if not stochastic:
+                np.matmul(state.w, batch.reshape(channels, -1), out=xs)
             if iter_hook is not None:  # test instrumentation
-                iter_hook(k, state, models, aux)
+                iter_hook(k, state, models, aux_view)
             if k % config.trace_every == 0 or k == config.iterations:
                 record(k)
     except FactorizationError as e:
@@ -406,19 +441,33 @@ def _draw_invertible_init(rng, channels, scale):
     raise FactorizationError("could not draw an invertible initialization")
 
 
-def _snapshot(k, state, models, aux, z, labels, density, fm_cfg, config,
-              ground_truth, t_start) -> TraceRecord:
-    n, _, t = z.shape
-    x = np.matmul(state.w, z)
-    loss_unsup = float(-state.logabsdet + density.g(x).sum() / (n * t))
+def _snapshot(k, state, models, x, aux, labels, density, fm_cfg, config,
+              ground_truth, t_start, scratch=None) -> TraceRecord:
+    """Full-dataset objective values at the current W and theta.
+
+    ``x`` (sources) and ``aux`` are (C, N, T) arrays; ``scratch`` is two
+    arrays of that shape for the entrywise terms g(x) and the bound (fresh
+    ones in the memory layout of ``x`` when not given).  Each term is
+    filled one component at a time and summed as one array in its memory
+    order.
+    """
+    _, n, t = x.shape
     loss_sup = 0.0
     for m, model in enumerate(models):
-        losses, _, _ = batch_loss_grads(model, x[:, m, :], labels[:, m],
+        losses, _, _ = batch_loss_grads(model, x[m], labels[:, m],
                                         fm_cfg, need_grad_s=False,
                                         need_grad_theta=False)
         loss_sup += float(losses.sum() / n)
+    # allocated after the heads' feature forwards, not to add to their peak
+    g_x, bound = scratch or (np.empty_like(x), np.empty_like(x))
+    f_u = np.empty_like(x[0])
+    for c in range(len(x)):  # one component at a time stays in cache
+        density.g(x[c], out=g_x[c])
+        if density.has_f:
+            variational_value(x[c], aux[c], density, out=bound[c],
+                              scratch=f_u)
+    loss_unsup = float(-state.logabsdet + g_x.sum() / (n * t))
     if density.has_f:
-        bound = variational_value(x, aux, density)
         f_value = float(-state.logabsdet + bound.sum() / (n * t)
                         + config.lam * loss_sup
                         + 0.5 * config.mu * sum(

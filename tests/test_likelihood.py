@@ -95,6 +95,23 @@ def test_aux_exact_preserves_shape():
     assert aux_exact(x, LAP).shape == x.shape
 
 
+@pytest.mark.parametrize("density", [LAP, HUB], ids=["laplace", "huber"])
+def test_aux_exact_out_is_filled_in_place(density):
+    # x = 0 and |x| < 1/u_max hit the clamp; a transposed-view input
+    # writes into a contiguous buffer of its shape
+    x = np.random.default_rng(3).laplace(size=(4, 3, 16))
+    x[0, 0, :3] = [0.0, 1e-9, -1e-9]
+    x[1, 2, 5] = -0.0
+    view = x.transpose(1, 0, 2)
+    for sources in (x, view):
+        want = aux_exact(sources, density, u_max=50.0)
+        out = np.full(sources.shape, np.nan)
+        got = aux_exact(sources, density, u_max=50.0, out=out)
+        assert got is out
+        assert np.array_equal(got, want)
+    assert np.all(want[0, 0, :3] == (50.0 if density is LAP else 1.0))
+
+
 # --- the variational identity behind the laplace weights ---
 
 def test_laplace_variational_identity():

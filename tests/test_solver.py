@@ -146,12 +146,22 @@ def test_stochastic_runs_are_bit_identical():
 
 
 def test_full_size_minibatches_reproduce_full_batch():
-    ds, _ = small_sup(n=5)
-    cfg = sup_config(batch_trials=5, batch_times=64, iterations=4)
-    full = fit_full_batch(ds, cfg)
-    sto = fit_stochastic(ds, cfg)
-    assert np.array_equal(full.w_state.w, sto.w_state.w)
-    assert np.array_equal(full.models[0].theta, sto.models[0].theta)
+    # the iterates agree bit for bit; the trace sums in component-major
+    # order in full batch and trial-major order in stochastic mode
+    ds, mixing = small_sup(n=5)
+    for extra in ({}, dict(trace_every=3, aux_mode="proximal", eta_a=0.5)):
+        cfg = sup_config(batch_trials=5, batch_times=64, iterations=4,
+                         **extra)
+        full = fit_full_batch(ds, cfg, ground_truth=mixing)
+        sto = fit_stochastic(ds, cfg, ground_truth=mixing)
+        assert np.array_equal(full.w_state.w, sto.w_state.w)
+        assert np.array_equal(full.models[0].theta, sto.models[0].theta)
+        assert [(r.k, r.amari) for r in full.trace.records] == \
+            [(r.k, r.amari) for r in sto.trace.records]
+        for a, b in zip(full.trace.records, sto.trace.records):
+            for name in ("loss_unsup", "loss_sup", "f_value"):
+                assert getattr(a, name) == pytest.approx(
+                    getattr(b, name), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("aux_mode", ["exact", "proximal"])
@@ -227,6 +237,90 @@ def test_stochastic_fit_matches_reference_loop(aux_mode):
     got = [(r.k, r.loss_unsup, r.loss_sup, r.f_value, r.amari)
            for r in res.trace.records]
     assert np.array_equal(np.array(got), np.array(want))
+
+
+@pytest.mark.parametrize("aux_mode", ["exact", "proximal"])
+def test_full_batch_fit_matches_reference_loop(aux_mode):
+    # the full batch iteration rebuilt with fresh sources W z at every
+    # step: the solver carries W z from each sweep to the snapshot and to
+    # the next aux refresh, and refreshes the aux store in place
+    ds, mixing = small_sup(n=5, m=1)
+    cfg = sup_config(iterations=5, trace_every=2, lam=1e-3, mu=0.1,
+                     eta_p=1e-3, optimizer="adamw", aux_mode=aux_mode,
+                     eta_a=0.5)
+    hooked = {}
+
+    def hook(k, state, models, aux):
+        hooked[k] = aux.copy()
+
+    res = fit_full_batch(ds, cfg, ground_truth=mixing, _iter_hook=hook)
+
+    z, labels = ds.signals, ds.labels
+    n_all, c_dim, t_all = z.shape
+    density = get_density(cfg.density)
+    rng = Xoshiro256pp(cfg.seed)
+    state = _draw_invertible_init(rng, c_dim, cfg.init_scale)
+    models = [init_model(s, FM16L.dim(t_all), rng, cfg.init_scale)
+              for s in ds.targets]
+    opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta, cfg.beta1,
+                           cfg.beta2, cfg.eps) for m in models]
+    batch = np.ascontiguousarray(z.transpose(1, 0, 2))        # (C, N, T)
+
+    def fresh_sources():
+        return state.w @ batch.reshape(c_dim, -1)
+
+    def as_nct(u):
+        return u.reshape(batch.shape).transpose(1, 0, 2)
+
+    def snapshot(k, u):
+        x = np.matmul(state.w, z)
+        losses, _, _ = batch_loss_grads(models[0], x[:, 0, :], labels[:, 0],
+                                        FM16L, need_grad_s=False,
+                                        need_grad_theta=False)
+        loss_sup = float(losses.sum() / n_all)
+        bound = 0.5 * u * x * x + density.f(u)
+        f_value = float(-state.logabsdet + bound.sum() / (n_all * t_all)
+                        + cfg.lam * loss_sup
+                        + 0.5 * cfg.mu * float(np.sum(models[0].theta ** 2)))
+        loss_unsup = float(-state.logabsdet
+                           + density.g(x).sum() / (n_all * t_all))
+        return (k, loss_unsup, loss_sup, f_value,
+                float(amari_distance(state.w, mixing)))
+
+    aux = aux_exact(fresh_sources(), density, cfg.u_max)       # (C, N*T)
+    want_aux = {0: as_nct(aux).copy()}
+    want = [snapshot(0, as_nct(aux))]
+    for k in range(1, cfg.iterations + 1):
+        head_sources = np.einsum("c,nct->nt", state.w[0], z)
+        _, _, grad = batch_loss_grads(models[0], head_sources, labels[:, 0],
+                                      FM16L, need_grad_s=False)
+        models[0].theta = optimizer_step(opts[0], models[0].theta, grad,
+                                         cfg.mu)
+        x = fresh_sources()
+        if aux_mode == "exact":
+            aux = aux_exact(x, density, cfg.u_max)
+        else:
+            aux = aux_proximal(x, aux, cfg.eta_a, density, cfg.u_max)
+        grad_s = batch_loss_grads(models[0], head_sources, labels[:, 0],
+                                  FM16L, need_grad_theta=False)[1]
+        b_mat = compute_B([grad_s], batch, slice(None))
+        state = cyclic_sweep(state, make_a_provider(aux, batch), b_mat,
+                             cfg.eta_u, cfg.lam)
+        want_aux[k] = as_nct(aux).copy()
+        if k % cfg.trace_every == 0 or k == cfg.iterations:
+            want.append(snapshot(k, as_nct(aux)))
+
+    assert np.array_equal(res.w_state.w, state.w)
+    assert np.array_equal(res.models[0].theta, models[0].theta)
+    assert sorted(hooked) == sorted(want_aux)
+    for k, u in want_aux.items():
+        assert hooked[k].shape == z.shape
+        assert np.array_equal(hooked[k], u)
+    got = [(r.k, r.loss_unsup, r.loss_sup, r.f_value, r.amari)
+           for r in res.trace.records]
+    assert [g[0] for g in got] == [w[0] for w in want] == [0, 2, 4, 5]
+    np.testing.assert_allclose(np.array(got), np.array(want), rtol=1e-12,
+                               atol=0.0)
 
 
 def test_every_config_field_changes_the_fit():
