@@ -21,6 +21,9 @@ import numpy as np
 
 DEFAULT_U_MAX = 1e8
 
+_NEWTON_RTOL = 4.0 * np.finfo(np.float64).eps  # aux_proximal: 4 ulp of u
+_NEWTON_MAX_STEPS = 100
+
 
 @dataclass(frozen=True)
 class SuperGaussianDensity:
@@ -118,24 +121,28 @@ def aux_exact(sources: np.ndarray, density: SuperGaussianDensity,
 
 def aux_proximal(sources: np.ndarray, u_prev: np.ndarray, eta_a: float,
                  density: SuperGaussianDensity,
-                 u_max: float = DEFAULT_U_MAX,
-                 tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+                 u_max: float = DEFAULT_U_MAX) -> np.ndarray:
     """Damped auxiliary update: proximal point step on the bound in u.
 
     Minimizes, entrywise over u > 0::
 
         psi(u) = u*x^2/2 + f(u) + (u - u_prev)^2 / (2*eta_a)
 
-    For the Laplace penalty (f(u) = 1/(2u)) psi is strictly convex with a
-    unique positive stationary point, located by safeguarded Newton
-    bisection on psi'(u) = x^2/2 - 1/(2u^2) + (u - u_prev)/eta_a.  The
+    For the Laplace penalty (f(u) = 1/(2u)) the minimizer is the root of
+    psi'(u) = x^2/2 - 1/(2u^2) + (u - u_prev)/eta_a, which is increasing
+    (psi'' > 0) and concave (psi''' = -3/u^4 < 0).  The root lies between
+    1/|x| and u_prev, so psi' <= 0 at u_0 = min(1/|x|, u_prev), which needs
+    ``u_prev > 0``.  Newton from u_0 needs no bracket: psi' lies below its
+    tangents, so each step lands at or left of the root and the iterates
+    climb to it; they stop once no entry moves by more than 4 ulp.  The
     result is clamped to [0, u_max].  As ``eta_a`` grows the step
     approaches :func:`aux_exact`; small ``eta_a`` keeps u near ``u_prev``.
 
     Raises
     ------
     ValueError
-        If the density has no closed-form f (e.g. huber) or eta_a <= 0.
+        If the density has no closed-form f (e.g. huber), eta_a <= 0 or
+        u_prev has an entry that is not positive.
     """
     if not density.has_f:
         raise ValueError(
@@ -143,34 +150,21 @@ def aux_proximal(sources: np.ndarray, u_prev: np.ndarray, eta_a: float,
             f"{density.name!r} does not provide one")
     if not eta_a > 0.0:
         raise ValueError("eta_a must be positive")
-    x2 = np.asarray(sources, dtype=np.float64) ** 2
+    x = np.asarray(sources, dtype=np.float64)
     prev = np.asarray(u_prev, dtype=np.float64)
-    if prev.shape != x2.shape:
+    if prev.shape != x.shape:
         raise ValueError("u_prev shape must match sources")
-
-    def dpsi(u):
-        return 0.5 * x2 - 0.5 / (u * u) + (u - prev) / eta_a
-
-    # Bracket the root: psi' < 0 near 0+; double hi until psi'(hi) >= 0.
-    lo = np.full_like(x2, 1e-12)
-    hi = np.maximum(prev, 1.0)
-    for _ in range(200):
-        bad = dpsi(hi) < 0.0
-        if not bad.any():
+    if not np.all(prev > 0.0):
+        raise ValueError("u_prev must be positive")
+    half_x2 = 0.5 * x * x
+    with np.errstate(divide="ignore"):
+        u = np.minimum(1.0 / np.abs(x), prev)
+    for _ in range(_NEWTON_MAX_STEPS):
+        step = ((half_x2 - 0.5 / (u * u) + (u - prev) / eta_a)
+                / (1.0 / u**3 + 1.0 / eta_a))
+        u -= step
+        if np.all(np.abs(step) <= _NEWTON_RTOL * u):
             break
-        hi = np.where(bad, 2.0 * hi, hi)
-    u = 0.5 * (lo + hi)
-    scale = np.maximum(1.0, 0.5 * x2 + np.abs(prev) / eta_a)
-    for _ in range(max_iter):
-        d = dpsi(u)
-        if np.max(np.abs(d) / scale) <= tol:
-            break
-        lo = np.where(d < 0.0, u, lo)
-        hi = np.where(d >= 0.0, u, hi)
-        # psi''(u) = 1/u^3 + 1/eta_a > 0
-        step = u - d / (1.0 / u**3 + 1.0 / eta_a)
-        inside = (step > lo) & (step < hi)
-        u = np.where(inside, step, 0.5 * (lo + hi))
     return np.minimum(u, u_max)
 
 

@@ -120,16 +120,6 @@ class Xoshiro256pp:
         out[1::2] = r * np.sin(a)
         return out[:count].reshape(shape)
 
-    def laplaces(self, shape) -> np.ndarray:
-        """Laplace(0, 1) array via inverse CDF (variance 2, E|x| = 1)."""
-        count = int(np.prod(shape))
-        u = np.empty(count)
-        for j in range(count):
-            u[j] = self._open_unit()
-        v = u - 0.5
-        out = -np.sign(v) * np.log1p(-2.0 * np.abs(v))
-        return out.reshape(shape)
-
     def subset(self, n_total: int, n_draw: int) -> np.ndarray:
         """Sample ``n_draw`` distinct indices from range(n_total), sorted.
 

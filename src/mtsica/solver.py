@@ -60,6 +60,7 @@ from .unmixing import (FactorizationError, UnmixingState, compute_B,
                        cyclic_sweep, make_a_provider)
 
 _LOGDET_FLOOR_PER_CHANNEL = -50.0  # abort when log|det W| < floor * C
+_GUARD_RADIUS_FACTOR = 4.0  # rate-guard ball radius / largest |z_i|_2
 
 
 @dataclass(frozen=True)
@@ -153,15 +154,13 @@ class RateGuards:
 def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
                         fm_cfg: Optional[FeatureMapConfig] = None,
                         lm_override: Optional[float] = None,
-                        ltheta_override: Optional[float] = None,
-                        radius_factor: float = 4.0,
-                        safety: float = 4.0) -> RateGuards:
+                        ltheta_override: Optional[float] = None) -> RateGuards:
     """Estimate smoothness constants and the step-size ceilings they imply.
 
     Signal spectral norms are computed by power iteration (tolerance 1e-8).
     Per-target constants are heuristic operating-region bounds (see
     :func:`mtsica.supervision.source_lipschitz`): the ball radius is
-    ``radius_factor`` times the largest trial spectral norm, since a
+    ``_GUARD_RADIUS_FACTOR`` times the largest trial spectral norm, since a
     candidate source row W_m z_i is norm-bounded by |W_m| |z_i|_2.
     Overrides short-circuit the estimation.
     """
@@ -169,7 +168,7 @@ def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
     z = dataset.signals
     norms = np.array([spectral_norm(z[i]) for i in range(z.shape[0])])
     avg_sq = float(np.mean(norms ** 2))
-    radius = radius_factor * float(norms.max())
+    radius = _GUARD_RADIUS_FACTOR * float(norms.max())
 
     lms = []
     for m, model in enumerate(models):
@@ -188,7 +187,7 @@ def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
         l_theta = float(ltheta_override)
     elif models:
         # initial sources are close to the matching signal rows (W0 ~ I)
-        l_theta = max(param_lipschitz(model, z[:, m, :], fm_cfg, safety)
+        l_theta = max(param_lipschitz(model, z[:, m, :], fm_cfg)
                       for m, model in enumerate(models))
     else:
         l_theta = 0.0

@@ -262,9 +262,14 @@ def optimizer_step(state: OptimizerState, theta: np.ndarray,
 
 # --- smoothness constants for the step-size guards ----------------------
 
+# source_lipschitz samples this many gradient pairs from its own stream
+_LIPSCHITZ_PAIRS = 48
+_LIPSCHITZ_SEED = 0xB0B
+
+
 def source_lipschitz(model: SupervisedTargetModel, cfg: FeatureMapConfig,
-                     n_samples: int, radius: float, label_bound: float,
-                     n_pairs: int = 48, seed: int = 0xB0B) -> float:
+                     n_samples: int, radius: float,
+                     label_bound: float) -> float:
     """Bound on the Lipschitz constant of s -> grad_s loss over a ball.
 
     For continuous targets without log compression the loss is a quartic
@@ -285,10 +290,10 @@ def source_lipschitz(model: SupervisedTargetModel, cfg: FeatureMapConfig,
         norm_m = operator_norm(matvec, n_samples)
         return 6.0 * norm_m ** 2 * radius ** 2 + 2.0 * norm_m * label_bound
 
-    rng = Xoshiro256pp(seed)
+    rng = Xoshiro256pp(_LIPSCHITZ_SEED)
     label = (label_bound if model.kind == KIND_CONTINUOUS else 0.0)
     best = 0.0
-    for _ in range(n_pairs):
+    for _ in range(_LIPSCHITZ_PAIRS):
         pair = []
         for _ in range(2):
             g = rng.normals(n_samples)

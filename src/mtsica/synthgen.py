@@ -28,6 +28,10 @@ TAG_SOURCES = 0x01
 TAG_MIXING = 0x02
 TAG_TARGETS = 0x03
 
+# gen_gaussian_mixing redraws a matrix above this condition number
+_MIXING_COND_MAX = 1e8
+_MIXING_TRIES = 100
+
 RECIPES = {
     "multi_trial": dict(n_trials=80, channels=10, samples=1000, n_targets=0,
                         mixing="gaussian", kappa=None),
@@ -48,13 +52,12 @@ def gen_laplace_sources(n_trials: int, channels: int, samples: int,
     return block.reshape(n_trials, channels, samples)
 
 
-def gen_gaussian_mixing(channels: int, seed: int, cond_max: float = 1e8,
-                        max_tries: int = 100) -> np.ndarray:
+def gen_gaussian_mixing(channels: int, seed: int) -> np.ndarray:
     """Square standard-normal mixing matrix, redrawn if ill-conditioned."""
     rng = Xoshiro256pp(seed)
-    for _ in range(max_tries):
+    for _ in range(_MIXING_TRIES):
         a = rng.normals((channels, channels))
-        if np.linalg.cond(a) <= cond_max:
+        if np.linalg.cond(a) <= _MIXING_COND_MAX:
             return a
     raise RuntimeError("could not draw a well-conditioned mixing matrix")
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .data import _own_readonly
+
 __all__ = [
     "UnmixingState", "FactorizationError", "weighted_moments",
     "make_a_provider", "compute_B", "row_update", "cyclic_sweep",
@@ -39,7 +41,7 @@ class UnmixingState:
     """Square unmixing matrix with cached log|det|.
 
     Construct via :meth:`from_matrix`, which validates invertibility and
-    freezes the array.
+    keeps a read-only array (a copy when the caller's array is writeable).
     """
 
     w: np.ndarray
@@ -47,7 +49,7 @@ class UnmixingState:
 
     @classmethod
     def from_matrix(cls, w: np.ndarray) -> "UnmixingState":
-        w = np.ascontiguousarray(w, dtype=np.float64)
+        w = _own_readonly(w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"unmixing matrix must be square, got {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -55,8 +57,6 @@ class UnmixingState:
         sign, logdet = np.linalg.slogdet(w)
         if sign == 0.0 or not np.isfinite(logdet):
             raise FactorizationError("unmixing matrix is singular")
-        w = w.copy() if w.flags.writeable is False else w
-        w.flags.writeable = False
         return cls(w, float(logdet))
 
     @property
@@ -212,7 +212,6 @@ def row_update(state: UnmixingState, a_c: np.ndarray, b_mat: np.ndarray,
         raise FactorizationError(f"row {comp}: degenerate leading coefficient")
     r = kinv_ec / r_c + kinv_b
     w_new = w.copy()
-    w_new.flags.writeable = True
     w_new[comp] = r @ w
     return UnmixingState.from_matrix(w_new)
 

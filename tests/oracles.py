@@ -61,3 +61,16 @@ def subset_full_list(rng, n_total, n_draw):
         r = j + rng.below(n_total - j)
         pool[j], pool[r] = pool[r], pool[j]
     return np.sort(np.array(pool[:n_draw], dtype=np.int64))
+
+
+def laplaces(rng, shape):
+    """Laplace(0, 1) array from one scalar ``Xoshiro256pp`` via inverse CDF
+    (variance 2, E|x| = 1): the per-draw form of
+    ``Xoshiro256ppStreams.laplace_block``."""
+    count = int(np.prod(shape))
+    u = np.empty(count)
+    for j in range(count):
+        u[j] = ((rng.next_u64() >> 11) + 0.5) * 2.0**-53   # open (0, 1)
+    v = u - 0.5
+    out = -np.sign(v) * np.log1p(-2.0 * np.abs(v))
+    return out.reshape(shape)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from mtsica.likelihood import (DEFAULT_U_MAX, aux_exact, aux_proximal,
                                get_density, variational_value)
@@ -207,6 +207,33 @@ def test_aux_proximal_rejects_huber_and_bad_eta():
         aux_proximal(np.ones(3), np.ones(3), 1.0, HUB)
     with pytest.raises(ValueError):
         aux_proximal(np.ones(3), np.ones(3), 0.0, LAP)
+
+
+def test_aux_proximal_matches_brentq_on_extreme_entries():
+    # one call on the whole grid, so entries that need many Newton steps
+    # share it with entries that need none
+    x, up, ea = (a.ravel() for a in np.meshgrid(
+        [0.0, 1e-9, -1e-9, 1e-3, 1.0, 1e6], [1e-6, 1.0, 50.0, 1e8],
+        [1e-6, 1.0, 1e12], indexing="ij"))
+    eps = np.finfo(np.float64).eps
+    for eta_a in np.unique(ea):
+        sel = ea == eta_a
+        got = aux_proximal(x[sel], up[sel], eta_a, LAP, u_max=np.inf)
+        for xi, ui, gi in zip(x[sel], up[sel], got):
+            # the root lies between 1/|x| and u_prev; for x = 0 psi' >= 0
+            # at u_prev + eta_a/(2 u_prev^2)
+            ends = ((ui, ui + eta_a / (2.0 * ui * ui)) if xi == 0.0
+                    else (1.0 / abs(xi), ui))
+            # widen by a few ulp so rounded end points still bracket it
+            lo, hi = min(ends) * (1.0 - 4 * eps), max(ends) * (1.0 + 4 * eps)
+            ref = brentq(lambda u: (0.5 * xi * xi - 0.5 / (u * u)
+                                    + (u - ui) / eta_a),
+                         lo, hi, xtol=1e-300, rtol=4 * eps)
+            assert abs(gi - ref) <= 1e-12 * ref, (xi, ui, eta_a, gi, ref)
+    # the climb starts at min(1/|x|, u_prev), so u_prev must be positive
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            aux_proximal(np.ones(2), np.array([1.0, bad]), 1.0, LAP)
 
 
 def test_aux_proximal_descends_its_own_objective():

@@ -31,6 +31,18 @@ def test_state_caches_logdet_and_freezes():
     assert not st.w.flags.writeable
 
 
+def test_state_does_not_freeze_caller_array():
+    w = np.eye(3)
+    st = UnmixingState.from_matrix(w)
+    assert w.flags.writeable            # caller's array untouched
+    w[0, 0] = 2.0
+    assert st.w[0, 0] == 1.0
+    assert not st.w.flags.writeable
+    frozen = np.eye(3)
+    frozen.flags.writeable = False
+    assert UnmixingState.from_matrix(frozen).w is frozen   # no needless copy
+
+
 def test_state_rejects_bad_matrices():
     with pytest.raises(ValueError):
         UnmixingState.from_matrix(np.ones((2, 3)))
