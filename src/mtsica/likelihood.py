@@ -111,8 +111,8 @@ def aux_exact(sources: np.ndarray, density: SuperGaussianDensity,
 
     These minimize the variational bound for fixed sources; works for any
     array shape.  ``out``, a float64 array of the sources' shape (any
-    memory layout), receives the weights in place and is returned; the
-    values are the same bits as without it.
+    memory layout), receives the weights in place and is returned; it may
+    be ``sources`` itself.  The values are the same bits as without it.
     """
     x = np.asarray(sources, dtype=np.float64)
     return density.exact_weights(

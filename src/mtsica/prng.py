@@ -126,8 +126,9 @@ class Xoshiro256pp:
         Partial Fisher-Yates over a sparse pool: ``moved`` maps each
         position a swap has written to its value, and any other position
         still holds its own index.  A draw costs O(n_draw) whatever
-        ``n_total`` is and makes the same ``below`` calls as swaps over
-        the full list ``range(n_total)``, so it returns the same indices.
+        ``n_total`` is and reduces the same u64s modulo ``n_total - j`` as
+        ``below`` calls of swaps over the full list ``range(n_total)``, so
+        it returns the same indices and leaves the same state.
         The returned set is sorted ascending so that downstream reductions
         run in a fixed order.  ``n_draw == n_total`` returns
         ``arange(n_total)`` exactly.
@@ -136,10 +137,22 @@ class Xoshiro256pp:
             raise ValueError(f"need 0 < n_draw <= n_total, got {n_draw}, {n_total}")
         moved = {}
         picked = []
+        # next_u64 and below() inlined on local state: one u64 per draw
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         for j in range(n_draw):
-            r = j + self.below(n_total - j)
+            x = (s0 + s3) & _MASK64
+            u64 = (((x << 23) | (x >> 41)) + s0) & _MASK64
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+            r = j + u64 % (n_total - j)
             picked.append(moved.get(r, r))
             moved[r] = moved.get(j, j)
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         out = np.array(picked, dtype=np.int64)
         out.sort()
         return out

@@ -26,8 +26,16 @@ read and written with the same index as its signals.  A full batch fit
 computes the sources ``W @ batch`` once per W: before iteration 1 and
 right after each sweep, into one reused array.  The trace snapshot of
 that W and the aux refresh of the next iteration both read that array,
-and the exact refresh overwrites the whole store in place.  A stochastic
-fit recomputes ``W z`` over the whole dataset at each snapshot only.
+and the exact refresh overwrites the whole store in place.
+
+Nothing else the size of the dataset is allocated.  The trace snapshot
+and the initial aux pass of a stochastic fit walk the trials in blocks of
+``max(1, _SNAP_ENTRIES // T)``; a stochastic fit computes each block's
+``W z`` afresh, a full batch fit reads it from the carried sources.  The
+initial stochastic aux store is filled with ``W z`` block by block and
+then turned into weights by one in-place :func:`aux_exact` call.  So a
+stochastic fit holds the signals and the aux store, a full batch fit
+those, the component-major batch and its sources.
 
 All randomness (initialization, minibatch draws) comes from one
 deterministic stream seeded by ``config.seed``, consumed in a documented
@@ -61,6 +69,9 @@ from .unmixing import (FactorizationError, UnmixingState, compute_B,
 
 _LOGDET_FLOOR_PER_CHANNEL = -50.0  # abort when log|det W| < floor * C
 _GUARD_RADIUS_FACTOR = 4.0  # rate-guard ball radius / largest |z_i|_2
+# entries per component of one block of trials in the snapshot and the
+# initial stochastic aux pass: a block's scratch stays in cache
+_SNAP_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -279,7 +290,8 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
     Auxiliary weights are refreshed only at sampled entries; unsampled
     entries carry over from earlier iterations (all start from one exact
     pass at the initial W).  With full-size batches this reproduces
-    :func:`fit_full_batch` exactly (the trace up to summation order).
+    :func:`fit_full_batch` exactly (the trace up to rounding: the two
+    modes form the sources ``W z`` by different matrix products).
     ``_iter_hook`` is called as in :func:`fit_full_batch`; its ``aux`` is
     an (N, C, T) view of the live store, so copy it to keep it.
     """
@@ -342,32 +354,27 @@ def _fit(dataset, config, ground_truth, stochastic,
     z_t = z.transpose(1, 0, 2)
     all_channels = np.arange(channels)
     coupled = n_targets and config.lam > 0.0
+    aux = np.empty(z_t.shape)
     if stochastic:
-        xs = scratch = None
+        x_all = None  # W z goes into the aux store, one block at a time
+        for lo, hi in _trial_blocks(n_trials, samples):
+            aux[:, lo:hi] = np.matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
     else:  # the batch is the whole dataset, every iteration
         trials_k = times_k = ix = slice(None)
         batch = np.ascontiguousarray(z_t)
         # W z, recomputed in place after each sweep; read by the snapshot
         # and by the next aux refresh
         xs = state.w @ batch.reshape(channels, -1)
-        scratch = (np.empty(batch.shape), np.empty(batch.shape))
-
-    def sources():
-        """W z as a (C, N, T) array (a view of (N, C, T) memory in
-        stochastic mode, where snapshots sum in that order)."""
-        if stochastic:
-            return np.matmul(state.w, z).transpose(1, 0, 2)
-        return xs.reshape(batch.shape)
-
-    aux = aux_exact(sources(), density, config.u_max,
-                    out=np.empty(z_t.shape))
+        x_all = xs.reshape(batch.shape)
+    # the initial exact pass, one call over the whole store
+    aux_exact(aux if stochastic else x_all, density, config.u_max, out=aux)
     aux_flat = aux.reshape(channels, -1)
     aux_view = aux.transpose(1, 0, 2)    # (N, C, T), for the hook
 
     def record(k):
         trace.records.append(_snapshot(
-            k, state, models, sources(), aux, labels, density, fm_cfg,
-            config, ground_truth, t_start, scratch))
+            k, state, models, z, x_all, aux, labels, density, fm_cfg,
+            config, ground_truth, t_start))
 
     record(0)
     if iter_hook is not None:
@@ -440,34 +447,51 @@ def _draw_invertible_init(rng, channels, scale):
     raise FactorizationError("could not draw an invertible initialization")
 
 
-def _snapshot(k, state, models, x, aux, labels, density, fm_cfg, config,
-              ground_truth, t_start, scratch=None) -> TraceRecord:
+def _trial_blocks(n_trials, samples):
+    """(lo, hi) bounds of consecutive blocks of ``_SNAP_ENTRIES // T``
+    trials (at least one; the last block may be shorter)."""
+    step = max(1, _SNAP_ENTRIES // samples)
+    return [(lo, min(lo + step, n_trials)) for lo in range(0, n_trials, step)]
+
+
+def _snapshot(k, state, models, z, x_all, aux, labels, density, fm_cfg,
+              config, ground_truth, t_start) -> TraceRecord:
     """Full-dataset objective values at the current W and theta.
 
-    ``x`` (sources) and ``aux`` are (C, N, T) arrays; ``scratch`` is two
-    arrays of that shape for the entrywise terms g(x) and the bound (fresh
-    ones in the memory layout of ``x`` when not given).  Each term is
-    filled one component at a time and summed as one array in its memory
-    order.
+    ``z`` is the (N, C, T) data, ``aux`` the (C, N, T) store and ``x_all``
+    the (C, N, T) sources ``W z``, or ``None`` to compute them one block
+    of trials at a time (see :func:`_trial_blocks`).  For each block the
+    heads' per-trial losses go into one (N,) array per head, summed once
+    at the end; then, one component at a time, g(x) and the bound fill
+    scratch of one block's size and each sum is added to a running total,
+    blocks in trial order and components in index order within a block.
     """
-    _, n, t = x.shape
+    n, channels, t = z.shape
+    blocks = _trial_blocks(n, t)
+    scratch = np.empty((3, blocks[0][1], t))  # g(x), bound, f(u) of a block
+    head_losses = np.empty((len(models), n))
+    g_sum = bound_sum = 0.0
+    for lo, hi in blocks:
+        x = (np.matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
+             if x_all is None else x_all[:, lo:hi])
+        for m, model in enumerate(models):
+            head_losses[m, lo:hi] = batch_loss_grads(
+                model, x[m], labels[lo:hi, m], fm_cfg, need_grad_s=False,
+                need_grad_theta=False)[0]
+        g_x, bound, f_u = scratch[:, :hi - lo]
+        for c in range(channels):
+            g_sum += density.g(x[c], out=g_x).sum()
+            if density.has_f:
+                bound_sum += variational_value(
+                    x[c], aux[c, lo:hi], density, out=bound,
+                    scratch=f_u).sum()
+        del x  # one block of sources alive at a time
     loss_sup = 0.0
-    for m, model in enumerate(models):
-        losses, _, _ = batch_loss_grads(model, x[m], labels[:, m],
-                                        fm_cfg, need_grad_s=False,
-                                        need_grad_theta=False)
+    for losses in head_losses:
         loss_sup += float(losses.sum() / n)
-    # allocated after the heads' feature forwards, not to add to their peak
-    g_x, bound = scratch or (np.empty_like(x), np.empty_like(x))
-    f_u = np.empty_like(x[0])
-    for c in range(len(x)):  # one component at a time stays in cache
-        density.g(x[c], out=g_x[c])
-        if density.has_f:
-            variational_value(x[c], aux[c], density, out=bound[c],
-                              scratch=f_u)
-    loss_unsup = float(-state.logabsdet + g_x.sum() / (n * t))
+    loss_unsup = float(-state.logabsdet + g_sum / (n * t))
     if density.has_f:
-        f_value = float(-state.logabsdet + bound.sum() / (n * t)
+        f_value = float(-state.logabsdet + bound_sum / (n * t)
                         + config.lam * loss_sup
                         + 0.5 * config.mu * sum(
                             float(np.sum(m.theta ** 2)) for m in models))

@@ -151,4 +151,7 @@ def gen_dataset(recipe: str, seed: int, n_trials: int | None = None,
     else:
         labels = np.zeros((n, 0))
         targets = ()
+    del sources
+    # nothing else holds ``signals``: read-only, Dataset keeps it uncopied
+    signals.flags.writeable = False
     return Dataset(signals, labels, targets), mixing

@@ -100,7 +100,7 @@ def weighted_moments(u_batch: np.ndarray, batch: np.ndarray) -> np.ndarray:
     weights = u_batch.reshape(c_dim, -1)
     cols = flat.shape[1]
     upper, lower = np.triu_indices(c_dim)
-    acc = np.zeros((c_dim, len(upper)))
+    acc = np.zeros((len(upper), c_dim))   # acc[pair, c]
     pairs = np.empty((len(upper), min(_A_BLOCK, cols)))
     for start in range(0, cols, _A_BLOCK):
         block = flat[:, start:start + _A_BLOCK]
@@ -109,11 +109,11 @@ def weighted_moments(u_batch: np.ndarray, batch: np.ndarray) -> np.ndarray:
         for a in range(c_dim):
             np.multiply(block[a:], block[a], out=prod[row:row + c_dim - a])
             row += c_dim - a
-        acc += weights[:, start:start + _A_BLOCK] @ prod.T
+        acc += prod @ weights[:, start:start + _A_BLOCK].T
     acc /= cols
     a_set = np.empty((c_dim, c_dim, c_dim))
-    a_set[:, upper, lower] = acc
-    a_set[:, lower, upper] = acc
+    a_set[:, upper, lower] = acc.T
+    a_set[:, lower, upper] = acc.T
     return a_set
 
 

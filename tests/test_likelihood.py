@@ -109,6 +109,9 @@ def test_aux_exact_out_is_filled_in_place(density):
         got = aux_exact(sources, density, u_max=50.0, out=out)
         assert got is out
         assert np.array_equal(got, want)
+        same = sources.copy()           # the sources themselves as out
+        assert aux_exact(same, density, u_max=50.0, out=same) is same
+        assert np.array_equal(same, want)
     assert np.all(want[0, 0, :3] == (50.0 if density is LAP else 1.0))
 
 

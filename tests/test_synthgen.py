@@ -1,6 +1,8 @@
 """Synthetic dataset generators: source statistics, mixing conditioning,
 label construction, and recipe plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,20 @@ def test_gen_dataset_deterministic_and_prefix_stable():
                          samples=20)
     assert np.array_equal(m8, m1)               # mixing ignores trial count
     assert np.array_equal(d8.signals[:4], d1.signals)
+
+
+def test_gen_dataset_keeps_one_copy_of_the_signals():
+    # the sources and the signals coexist once; the dataset keeps the
+    # signals it is given instead of copying them
+    tracemalloc.start()
+    try:
+        ds, _ = gen_dataset("multi_trial", 3, n_trials=40, channels=6,
+                            samples=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ds.signals.flags.writeable
+    assert peak <= 2.1 * ds.signals.nbytes
 
 
 def test_gen_dataset_feature_config_reaches_labels():
