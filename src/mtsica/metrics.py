@@ -140,10 +140,11 @@ def evaluate_predictions(w: np.ndarray, models, dataset: Dataset,
         trial_indices = np.arange(dataset.n_trials)
     trial_indices = np.asarray(trial_indices, dtype=np.int64)
     z = dataset.signals[trial_indices]
+    # the fit's formulation: every head's sources from one product, (n, M, T)
+    sources = np.matmul(np.asarray(w)[:len(models)], z)
     out = []
     for m, model in enumerate(models):
-        sources = np.einsum("c,nct->nt", np.asarray(w)[m], z)
-        pred = predict_batch(model, sources, fm_cfg)
+        pred = predict_batch(model, sources[:, m], fm_cfg)
         truth = dataset.labels[trial_indices, m]
         if model.kind == "continuous":
             value = float(np.sqrt(np.mean((pred - truth) ** 2)))

@@ -3,11 +3,14 @@
 One outer iteration is one straight pass over one gathered minibatch:
 
 1. draw the minibatch index sets (stochastic mode only) and gather the
-   batch signals once, component-major: ``batch`` is
-   ``z[trials][:, :, times]`` transposed to one C-contiguous (C, n, tau)
-   array (a full batch fit makes this copy once, before iteration 1);
+   batch trials once, ``sub = z[trials]``; the batch signals are
+   ``np.take(sub, times, axis=2)`` transposed to one C-contiguous
+   (C, n, tau) array (a full batch fit makes this copy once, before
+   iteration 1), and every head's sources come from one product
+   ``W[:M] @ sub``;
 2. step every supervised head theta with its first-order rule, using the
-   gradient of the mean supervised loss at the current W;
+   gradient of the mean supervised loss at the current W (a head whose
+   minibatch loss is not finite aborts the fit before any theta moves);
 3. refresh the auxiliary weights at the sampled (trial, time) entries
    (exact minimization or a damped proximal step);
 4. form the supervision coupling matrix B at the current W and new theta;
@@ -21,8 +24,9 @@ matrices A_c come from one blocked pass.  Steps 2 and 3 touch disjoint
 variables, neither reads the other's output, and the draws happen before
 either, so swapping them would give bit-identical fits.
 
-The aux store is component-major, (C, N, T), so a batch's aux block is
-read and written with the same index as its signals.  A full batch fit
+The aux store is component-major, (C, N, T).  A batch's aux block is the
+columns ``cols = trials * T + times`` (every pair, in batch order) of its
+(C, N*T) view, read and written with that one index.  A full batch fit
 computes the sources ``W @ batch`` once per W: before iteration 1 and
 right after each sweep, into one reused array.  The trace snapshot of
 that W and the aux refresh of the next iteration both read that array,
@@ -348,27 +352,25 @@ def _fit(dataset, config, ground_truth, stochastic,
 
     trace = Trace()
 
-    # the data seen component-major, (C, N, T), like the aux store: a
-    # batch's signals are gathered and its aux block scattered with one
-    # index ``ix``
-    z_t = z.transpose(1, 0, 2)
-    all_channels = np.arange(channels)
+    # the aux store is component-major, (C, N, T); a batch's aux block is
+    # the columns ``cols`` of its (C, N*T) view
     coupled = n_targets and config.lam > 0.0
-    aux = np.empty(z_t.shape)
+    aux = np.empty((channels, n_trials, samples))
+    aux_flat = aux.reshape(channels, -1)
     if stochastic:
         x_all = None  # W z goes into the aux store, one block at a time
         for lo, hi in _trial_blocks(n_trials, samples):
             aux[:, lo:hi] = np.matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
     else:  # the batch is the whole dataset, every iteration
-        trials_k = times_k = ix = slice(None)
-        batch = np.ascontiguousarray(z_t)
+        trials_k = times_k = cols = slice(None)
+        sub = z
+        batch = np.ascontiguousarray(z.transpose(1, 0, 2))
         # W z, recomputed in place after each sweep; read by the snapshot
         # and by the next aux refresh
         xs = state.w @ batch.reshape(channels, -1)
         x_all = xs.reshape(batch.shape)
     # the initial exact pass, one call over the whole store
     aux_exact(aux if stochastic else x_all, density, config.u_max, out=aux)
-    aux_flat = aux.reshape(channels, -1)
     aux_view = aux.transpose(1, 0, 2)    # (N, C, T), for the hook
 
     def record(k):
@@ -384,18 +386,28 @@ def _fit(dataset, config, ground_truth, stochastic,
             if stochastic:
                 trials_k = rng.subset(n_trials, batch_n)
                 times_k = rng.subset(samples, batch_tau)
-                ix = np.ix_(all_channels, trials_k, times_k)
-                batch = z_t[ix]         # C-contiguous (C, n, tau)
+                cols = (trials_k[:, None] * samples + times_k).ravel()
+                sub = z[trials_k]
+                batch = np.ascontiguousarray(     # (C, n, tau)
+                    np.take(sub, times_k, axis=2).transpose(1, 0, 2))
             labels_k = labels[trials_k]
-            # the heads read every sample of the batch trials
-            sub = z[trials_k] if models else None
+            # the heads read every sample of the batch trials: (n, M, T)
+            heads = np.matmul(state.w[:n_targets], sub) if models else None
+            if stochastic:
+                del sub
 
             grad_s = []
+            thetas = [model.theta for model in models]
             for m, (model, opt) in enumerate(zip(models, optimizers)):
-                phi, ctx = supervision._forward(
-                    np.einsum("c,nct->nt", state.w[m], sub), fm_cfg)
-                _, _, grad = head_loss_grads(model, phi, labels_k[:, m],
-                                             need_grad_phi=False)
+                phi, ctx = supervision._forward(heads[:, m], fm_cfg)
+                losses, _, grad = head_loss_grads(
+                    model, phi, labels_k[:, m], need_grad_phi=False)
+                if not np.all(np.isfinite(losses)):
+                    for head, theta in zip(models, thetas):
+                        head.theta = theta      # the last good heads
+                    raise SolverAbort(
+                        f"numerical abort: head {m} diverged at iteration "
+                        f"{k}", trace, state, models)
                 model.theta = optimizer_step(opt, model.theta, grad,
                                              config.mu)
                 if coupled:
@@ -403,7 +415,7 @@ def _fit(dataset, config, ground_truth, stochastic,
                         model, phi, labels_k[:, m], need_grad_theta=False)
                     grad_s.append(supervision._adjoint_from_ctx(
                         ctx, grad_phi, samples, fm_cfg))
-            del sub
+            del heads
 
             x = (state.w @ batch.reshape(channels, -1) if stochastic
                  else xs)
@@ -412,11 +424,11 @@ def _fit(dataset, config, ground_truth, stochastic,
                 aux_k = aux_exact(x, density, config.u_max,
                                   out=None if stochastic else aux_flat)
             else:
-                aux_k = aux_proximal(x, aux[ix].reshape(channels, -1),
-                                     config.eta_a, density, config.u_max)
+                aux_k = aux_proximal(x, aux_flat[:, cols], config.eta_a,
+                                     density, config.u_max)
             del x
             if aux_k is not aux_flat:
-                aux[ix] = aux_k.reshape(batch.shape)
+                aux_flat[:, cols] = aux_k
 
             b_mat = compute_B(grad_s, batch, times_k)
             a_of = make_a_provider(aux_k, batch)

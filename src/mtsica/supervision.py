@@ -10,10 +10,17 @@ predicts its label through a fixed feature map followed by a linear model:
 * categorical targets: softmax cross-entropy on logits Theta @ phi(s)
   (no bias term).
 
+The DFT is a matrix product: the windows of a batch are copied into one
+contiguous array and multiplied by a cached ``(window, 2 * n_bins)`` table
+``[cos | -sin]`` (:func:`_trig`), giving the real and imaginary parts side
+by side.  The fit, dataset generation, evaluation and the rate guards all
+use this one transform.
+
 Gradients with respect to the source signal are computed analytically by
-pushing the per-bin power gradient back through the DFT (an overlap-add of
-cosine/sine projections), which is what couples label information into the
-unmixing updates.
+pushing the per-bin power gradient back through the same table (one
+matrix product against its transpose, then an overlap-add of the
+windows), which is what couples label information into the unmixing
+updates.
 """
 
 from __future__ import annotations
@@ -62,14 +69,45 @@ class FeatureMapConfig:
 _trig_cache: dict = {}
 
 
-def _trig(window: int):
-    # cos/sin tables: rfft real part = COS.T @ x, imag part = -SIN.T @ x
-    if window not in _trig_cache:
-        t = np.arange(window)[:, None]
-        k = np.arange(window // 2 + 1)[None, :]
-        ang = 2.0 * np.pi * t * k / window
-        _trig_cache[window] = (np.cos(ang), np.sin(ang))
-    return _trig_cache[window]
+def _trig(window: int) -> np.ndarray:
+    """The read-only ``(window, 2 * n_bins)`` DFT table ``[cos | -sin]``.
+
+    ``frames @ _trig(window)`` is ``[re | im]`` of the real FFT of each
+    row of ``frames``.  Angles are reduced mod ``window`` before the
+    cosine and sine are taken, and the sine columns of the bins whose
+    imaginary part vanishes (k = 0 and, for even windows, Nyquist) are
+    exact zeros.
+    """
+    table = _trig_cache.get(window)
+    if table is None:
+        n_bins = window // 2 + 1
+        tk = np.arange(window)[:, None] * np.arange(n_bins)[None, :]
+        ang = (2.0 * np.pi / window) * (tk % window)
+        table = np.concatenate([np.cos(ang), -np.sin(ang)], axis=1)
+        table[:, n_bins] = 0.0
+        if window % 2 == 0:
+            table[:, -1] = 0.0
+        table.flags.writeable = False
+        _trig_cache[window] = table
+    return table
+
+
+# Largest m*n*k of one gemm against the DFT table.  OpenBLAS runs a gemm
+# this small on the calling thread; at the feature shapes (a few hundred
+# windows of 64 samples) a second thread cost more than it saved and its
+# packing buffer added ~2.5 MB to the peak RSS of a supervised fit
+# (2-vCPU Xeon, OpenBLAS 2 threads).
+_GEMM_MNK = 1 << 18
+
+
+def _dft_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a contiguous ``a``, one gemm per block of rows with
+    at most ``_GEMM_MNK`` multiply-adds."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    step = max(1, _GEMM_MNK // (a.shape[1] * b.shape[1]))
+    for lo in range(0, a.shape[0], step):
+        np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
+    return out
 
 
 def _windowed(batch: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
@@ -79,20 +117,28 @@ def _windowed(batch: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
 
 
 def _forward(batch: np.ndarray, cfg: FeatureMapConfig):
-    """Feature forward pass with the context needed for the adjoint."""
+    """Feature forward pass with the context needed for the adjoint.
+
+    The windows of every row are copied into one ``(B * n_windows,
+    window)`` array and multiplied by the cached :func:`_trig` table
+    (see :func:`_dft_gemm`), giving ``ri = [re | im]``.  The context is
+    ``(ri, shifted)``, with ``shifted = power + log_eps`` under log
+    compression and ``None`` otherwise; :func:`_adjoint_from_ctx`
+    consumes it.
+    """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    spec = np.fft.rfft(_windowed(batch, cfg), axis=-1)
-    re, im = spec.real, spec.imag
-    power = re * re + im * im
-    if cfg.log_power:
-        shifted = power + cfg.log_eps
-        phi = np.log(shifted)
-        ctx = (re, im, shifted)
-    else:
-        phi = power
-        ctx = (re, im, None)
+    frames = np.ascontiguousarray(_windowed(batch, cfg))
+    ri = _dft_gemm(frames.reshape(-1, cfg.window), _trig(cfg.window))
+    del frames
+    n_bins = cfg.n_bins
+    re, im = ri[:, :n_bins], ri[:, n_bins:]
+    power = re * re
+    power += im * im
     b = batch.shape[0]
-    return phi.reshape(b, -1), ctx
+    if cfg.log_power:
+        power += cfg.log_eps
+        return np.log(power).reshape(b, -1), (ri, power)
+    return power.reshape(b, -1), (ri, None)
 
 
 def feature_map_batch(batch: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
@@ -103,20 +149,28 @@ def feature_map_batch(batch: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
 
 def _adjoint_from_ctx(ctx, grad_phi: np.ndarray, n_samples: int,
                       cfg: FeatureMapConfig) -> np.ndarray:
-    """Map d(loss)/d(phi) back to d(loss)/d(signal) via overlap-add."""
-    re, im, shifted = ctx
-    b, n_win, n_bins = re.shape
-    v = grad_phi.reshape(b, n_win, n_bins)
+    """Map d(loss)/d(phi) back to d(loss)/d(signal) via overlap-add.
+
+    Scales the context's ``ri`` in place, so each :func:`_forward`
+    context serves one adjoint.
+    """
+    ri, shifted = ctx
+    rows, n_bins = ri.shape[0], ri.shape[1] // 2
+    b = grad_phi.shape[0]
+    n_win = rows // b
+    v = grad_phi.reshape(rows, n_bins)
     if cfg.log_power:
         v = v / shifted  # chain rule through log(power + eps)
-    cos, sin = _trig(cfg.window)
-    # re = COS^T x and im = -SIN^T x, so
-    # d(power_k)/d(x_t) = 2*re_k*cos(w*k*t) - 2*im_k*sin(w*k*t)
-    g_win = 2.0 * ((v * re) @ cos.T - (v * im) @ sin.T)
+    # ri = frames @ [cos | -sin], so d(power_k)/d(x_t)
+    # = 2*re_k*cos(w*k*t) - 2*im_k*sin(w*k*t) = 2 * (ri_k . table[t])
+    halves = ri.reshape(rows, 2, n_bins)
+    halves *= v[:, None, :]
+    g_win = _dft_gemm(ri, _trig(cfg.window).T).reshape(b, n_win, cfg.window)
     grad = np.zeros((b, n_samples))
     starts = np.arange(n_win) * cfg.hop
     for j, s0 in enumerate(starts):
         grad[:, s0:s0 + cfg.window] += g_win[:, j, :]
+    grad *= 2.0
     return grad
 
 

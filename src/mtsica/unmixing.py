@@ -14,7 +14,9 @@ optimal row is a linear combination r^T W of the current rows, where r
 solves a quadratic-plus-log problem whose solution only needs one
 symmetric positive-definite factorization.  Rows are updated cyclically;
 each update multiplies det W by the leading coefficient r_c, so
-invertibility is preserved by construction.
+invertibility is preserved by construction, and log|det W| is carried
+from row to row by adding log r_c: only :meth:`UnmixingState.from_matrix`
+(the initial W and user input) computes a determinant.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ __all__ = [
     "UnmixingState", "FactorizationError", "weighted_moments",
     "make_a_provider", "compute_B", "row_update", "cyclic_sweep",
 ]
+
+
+# the LAPACK Cholesky routines row_update calls, looked up once
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
+                                               (np.empty(0),))
 
 
 class FactorizationError(RuntimeError):
@@ -173,38 +180,42 @@ def row_update(state: UnmixingState, a_c: np.ndarray, b_mat: np.ndarray,
         K = W (A_c + I/eta_u) W^T
         b = W (W_c / eta_u - lam * B_c)
 
-    K is factored once (Cholesky) and reused for both solves.  The
-    stationary condition gives the positive branch
+    K is factored once (LAPACK ``dpotrf``) and both solves share one
+    ``dpotrs`` call.  The stationary condition gives the positive branch
 
         r_c = sqrt((K^{-1})_cc + ((K^{-1} b)_c)^2 / 4) + (K^{-1} b)_c / 2
         r   = K^{-1} (e_c / r_c + b)
 
     and det W is multiplied by r_c > 0, so the update cannot leave the
-    invertible set.
+    invertible set.  The new state carries ``log|det W| + log r_c``
+    instead of refactoring W; the returned W is read-only.
 
     Raises
     ------
     FactorizationError
-        If K fails to factor (numerically singular surrogate).
+        If K fails to factor (numerically singular surrogate), or r_c or
+        the new row is not finite.
     """
     w = state.w
     c_dim = w.shape[0]
     inv_eta = _eta_inv(eta_u)
     inner = a_c + inv_eta * np.eye(c_dim)
     k_mat = w @ inner @ w.T
-    k_mat = 0.5 * (k_mat + k_mat.T)
+    k_mat = 0.5 * (k_mat + k_mat.T)   # exactly symmetric, so k_mat.T is
+    # the same matrix in the Fortran order LAPACK takes without a copy
     b_vec = w @ (inv_eta * w[comp] - lam * b_mat[comp])
-    try:
-        factor = scipy.linalg.cho_factor(k_mat, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as e:
-        raise FactorizationError(f"row {comp}: K not positive definite: {e}") from e
-    rhs = np.zeros((c_dim, 2))
+    factor, info = _potrf(k_mat.T, lower=True, overwrite_a=True, clean=False)
+    if info != 0:
+        raise FactorizationError(
+            f"row {comp}: K not positive definite: {info}-th leading minor "
+            f"of the array is not positive definite")
+    rhs = np.zeros((c_dim, 2), order="F")
     rhs[comp, 0] = 1.0
     rhs[:, 1] = b_vec
-    sol = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    sol, info = _potrs(factor, rhs, lower=True, overwrite_b=True)
     kinv_ec, kinv_b = sol[:, 0], sol[:, 1]
     kcc = kinv_ec[comp]
-    if not kcc > 0.0 or not np.isfinite(kcc):
+    if info != 0 or not kcc > 0.0 or not np.isfinite(kcc):
         raise FactorizationError(f"row {comp}: K^-1 diagonal not positive")
     half_b = 0.5 * kinv_b[comp]
     r_c = np.sqrt(kcc + half_b * half_b) + half_b
@@ -213,7 +224,10 @@ def row_update(state: UnmixingState, a_c: np.ndarray, b_mat: np.ndarray,
     r = kinv_ec / r_c + kinv_b
     w_new = w.copy()
     w_new[comp] = r @ w
-    return UnmixingState.from_matrix(w_new)
+    if not np.all(np.isfinite(w_new[comp])):
+        raise FactorizationError("unmixing matrix has non-finite entries")
+    w_new.flags.writeable = False
+    return UnmixingState(w_new, state.logabsdet + float(np.log(r_c)))
 
 
 def cyclic_sweep(state: UnmixingState, a_of, b_mat: np.ndarray,

@@ -254,6 +254,23 @@ def test_fit_numerical_abort_flushes_partial_outputs(tmp_path, capsys):
     assert np.isfinite(read_matrix_f64(out / "W.f64")).all()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_fit_diverging_head_exits_3_and_names_the_head(tmp_path, capsys):
+    d = tmp_path / "ds"
+    assert run(["gen", "--recipe", "supervision", "--seed", 1, "--out", d,
+                "--trials", "40", "--channels", "3", "--samples", "128",
+                "--targets", "1", "--window", "16", "--hop", "8"]) == 0
+    cfg = write_cfg(tmp_path / "cfg", [
+        "iterations=40", "eta_p=0.1", "lambda=0", "window=16", "hop=8",
+        "stochastic=true", "batch_trials=16", "batch_times=64"])
+    out = tmp_path / "run"
+    assert run(["fit", "--data", d, "--config", cfg, "--out", out]) == 3
+    assert "abort" in capsys.readouterr().err
+    text = (out / "run.txt").read_text()
+    assert "status=aborted" in text and "head 0 diverged at iteration" in text
+    assert np.isfinite(read_matrix_f64(out / "theta_0.f64", (135,))).all()
+
+
 def test_fit_seed_sweep_matches_single_runs(tmp_path):
     d = tmp_path / "ds"
     gen_tiny(d)

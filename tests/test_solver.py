@@ -210,8 +210,8 @@ def test_stochastic_fit_matches_reference_loop(aux_mode):
     for k in range(1, cfg.iterations + 1):
         trials = rng.subset(n_all, cfg.batch_trials)
         times = rng.subset(t_all, cfg.batch_times)
-        sources = [np.einsum("c,nct->nt", state.w[m], z[trials])
-                   for m in range(len(models))]
+        heads = np.matmul(state.w[:len(models)], z[trials])   # (n, M, T)
+        sources = [heads[:, m] for m in range(len(models))]
         for m, (model, opt) in enumerate(zip(models, opts)):
             _, _, grad = batch_loss_grads(model, sources[m],
                                           labels[trials, m], FM16L,
@@ -299,7 +299,7 @@ def test_full_batch_fit_matches_reference_loop(aux_mode):
     want_aux = {0: as_nct(aux).copy()}
     want = [snapshot(0, as_nct(aux))]
     for k in range(1, cfg.iterations + 1):
-        head_sources = np.einsum("c,nct->nt", state.w[0], z)
+        head_sources = np.matmul(state.w[:1], z)[:, 0]
         _, _, grad = batch_loss_grads(models[0], head_sources, labels[:, 0],
                                       FM16L, need_grad_s=False)
         models[0].theta = optimizer_step(opts[0], models[0].theta, grad,
@@ -552,6 +552,35 @@ def test_logdet_collapse_aborts_with_state():
     assert "det" in str(err)
     assert err.trace.records and err.trace.records[0].k == 0
     assert err.w_state.w.shape == (2, 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_diverging_head_aborts_with_last_good_state():
+    # raw spectral powers and a large head step: theta blows up while
+    # lambda = 0 leaves W alone, so only the heads' own losses show it.
+    # Here head 1 diverges first, after head 0 took its step of that
+    # iteration, and the abort hands back both heads as they were.
+    ds, _ = gen_dataset("supervision", 1, n_trials=40, channels=3,
+                        samples=128, n_targets=2, fm_cfg=FM16)
+    cfg = SolverConfig(iterations=60, eta_p=0.1, lam=0.0, batch_trials=16,
+                       batch_times=64, window=16, hop=8)
+    seen = {}
+
+    def hook(k, state, models, aux):
+        seen[k] = (state.w, [m.theta.copy() for m in models])
+
+    with pytest.raises(SolverAbort,
+                       match=r"head \d diverged at iteration \d+$") as exc:
+        fit_stochastic(ds, cfg, _iter_hook=hook)
+    err = exc.value
+    k = int(str(err).rsplit(" ", 1)[1])
+    assert 1 < k <= cfg.iterations and max(seen) == k - 1
+    assert err.trace.records[-1].k == k - 1
+    w_good, thetas_good = seen[k - 1]
+    assert np.array_equal(err.w_state.w, w_good)
+    for model, theta in zip(err.models, thetas_good):
+        assert np.array_equal(model.theta, theta)
+        assert np.isfinite(model.theta).all()
 
 
 # --- CSV serialization ---

@@ -80,6 +80,27 @@ def test_feature_map_batch_stacks_rows():
                                                         cfg)[0])
 
 
+@pytest.mark.parametrize("window", [2, 7, 16, 64])
+def test_dft_table_matches_rfft(window):
+    # _forward's [re | im] against pocketfft, window by window
+    cfg = FeatureMapConfig(window=window, hop=max(1, window // 3))
+    rng = np.random.default_rng(window)
+    batch = 100.0 * rng.normal(size=(3, 3 * window + 1))
+    n_win = cfg.n_windows(batch.shape[1])
+    frames = np.array([row[j * cfg.hop:j * cfg.hop + window]
+                       for row in batch for j in range(n_win)])
+    _, (ri, _) = _forward(batch, cfg)
+    n_bins = cfg.n_bins
+    re, im = ri[:, :n_bins], ri[:, n_bins:]
+    want = np.fft.rfft(frames, axis=1)
+    tol = 1e-12 * np.linalg.norm(frames, axis=1)[:, None]
+    assert np.all(np.abs(re - want.real) <= tol)
+    assert np.all(np.abs(im - want.imag) <= tol)
+    assert np.all(im[:, 0] == 0.0)
+    if window % 2 == 0:
+        assert np.all(im[:, -1] == 0.0)
+
+
 @pytest.mark.parametrize("log_power", [False, True])
 def test_feature_adjoint_matches_jacobian_transpose(log_power):
     # <J v, ds> == <v, J^T ds> for random directions

@@ -9,8 +9,10 @@ import pytest
 from mtsica import unmixing
 from mtsica.data import TargetSchema
 from mtsica.likelihood import aux_exact, get_density
+from mtsica.solver import SolverConfig, fit_full_batch, fit_stochastic
 from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
                                 batch_loss_grads)
+from mtsica.synthgen import gen_dataset
 from mtsica.unmixing import (FactorizationError, UnmixingState, compute_B,
                              cyclic_sweep, make_a_provider, row_update,
                              weighted_moments)
@@ -331,6 +333,60 @@ def test_row_update_rejects_nonpositive_eta():
         row_update(st, np.eye(2), np.zeros((2, 2)), 0, 0.0, 0.0)
     with pytest.raises(ValueError):
         row_update(st, np.eye(2), np.zeros((2, 2)), 0, -1.0, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", ["a_diag_nan", "a_offdiag_nan", "a_inf",
+                                 "b_inf"])
+def test_row_update_rejects_non_finite_input(bad):
+    st = UnmixingState.from_matrix(np.eye(3))
+    a_c, b_mat = np.eye(3), np.zeros((3, 3))
+    if bad == "a_diag_nan":
+        a_c[1, 1] = np.nan
+    elif bad == "a_offdiag_nan":
+        a_c[0, 2] = a_c[2, 0] = np.nan
+    elif bad == "a_inf":
+        a_c[2, 2] = np.inf
+    else:
+        b_mat[0, 1] = np.inf
+    with pytest.raises(FactorizationError):
+        row_update(st, a_c, b_mat, 0, 1.0, 0.5)
+
+
+def assert_logdet_carried(state):
+    sign, want = np.linalg.slogdet(state.w)
+    assert sign != 0.0
+    assert abs(state.logabsdet - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_sweep_carries_logdet_and_read_only_w():
+    # each row update adds log r_c instead of refactoring W
+    rng = np.random.default_rng(16)
+    c_dim = 5
+    batch = rng.laplace(size=(c_dim, 40, 30))
+    a_set = weighted_moments(rng.uniform(0.5, 2.0, size=batch.shape), batch)
+    st = UnmixingState.from_matrix(np.eye(c_dim)
+                                   + 0.3 * rng.normal(size=(c_dim, c_dim)))
+    for _ in range(10):
+        b_mat = 0.2 * rng.normal(size=(c_dim, c_dim))
+        st = cyclic_sweep(st, lambda c: a_set[c], b_mat, 0.5, 0.1)
+        assert_logdet_carried(st)
+        assert not st.w.flags.writeable
+
+
+@pytest.mark.parametrize("stochastic", [True, False])
+def test_fit_carries_logdet(stochastic):
+    ds, _ = gen_dataset("multi_trial", 0, n_trials=8, channels=4,
+                        samples=200)
+    if stochastic:
+        cfg = SolverConfig(iterations=200, batch_trials=4, batch_times=64,
+                           trace_every=200)
+        res = fit_stochastic(ds, cfg)
+    else:
+        res = fit_full_batch(ds, SolverConfig(iterations=50,
+                                              trace_every=50))
+    assert_logdet_carried(res.w_state)
+    assert not res.w_state.w.flags.writeable
 
 
 # --- cyclic sweep ---
