@@ -18,9 +18,7 @@ naturally breaks that).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
-import os
 import sys
 import typing
 from dataclasses import replace
@@ -300,22 +298,14 @@ def cmd_fit(args) -> int:
 
     lo, hi = _parse_seed_range(args.seeds)
     seeds = list(range(lo, hi + 1))
-    workers = min(8, os.cpu_count() or 1, len(seeds))
-    failures = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_run_single_fit, dataset, replace(config, seed=s),
-                        extras, ground_truth,
-                        Path(args.out) / f"seed_{s}", args.timing): s
-            for s in seeds}
-        for fut in concurrent.futures.as_completed(futures):
-            seed = futures[fut]
-            if fut.result() is None:
-                failures.append(seed)
+    failures = [s for s in seeds
+                if _run_single_fit(dataset, replace(config, seed=s), extras,
+                                   ground_truth, Path(args.out) / f"seed_{s}",
+                                   args.timing) is None]
     print(f"seed sweep {lo}..{hi}: {len(seeds) - len(failures)} ok, "
           f"{len(failures)} aborted")
     if failures:
-        print(f"aborted seeds: {sorted(failures)}", file=sys.stderr)
+        print(f"aborted seeds: {failures}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -472,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int, help="override config seed")
     p.add_argument("--seeds", help="A..B inclusive seed sweep "
-                                   "(one run per seed, concurrent)")
+                                   "(one run per seed, one after another)")
     p.add_argument("--stochastic", action="store_true",
                    help="minibatch mode (batch_trials/batch_times)")
     p.add_argument("--center", action="store_true",

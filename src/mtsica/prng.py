@@ -102,9 +102,8 @@ class Xoshiro256pp:
     def normals(self, shape) -> np.ndarray:
         """Standard normal array via Box-Muller (pairs; odd tails drop one).
 
-        The float transforms go through the same numpy expressions as
-        :class:`Xoshiro256ppStreams` so both classes emit bit-identical
-        values from identical u64 streams.
+        Each pair takes two open-interval uniforms in turn, radius then
+        angle.  :class:`Xoshiro256ppStreams` has no normal draws.
         """
         count = int(np.prod(shape))
         n_pairs = (count + 1) // 2

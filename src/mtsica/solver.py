@@ -121,8 +121,10 @@ class SolverConfig:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("lam", "mu"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not np.isfinite(self.init_scale):
+            raise ValueError("init_scale must be finite")
         density = get_density(self.density)
         if self.aux_mode not in ("exact", "proximal"):
             raise ValueError(f"unknown aux_mode {self.aux_mode!r}")
@@ -167,17 +169,14 @@ class RateGuards:
 
 
 def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
-                        fm_cfg: Optional[FeatureMapConfig] = None,
-                        lm_override: Optional[float] = None,
-                        ltheta_override: Optional[float] = None) -> RateGuards:
+                        fm_cfg: Optional[FeatureMapConfig] = None) -> RateGuards:
     """Estimate smoothness constants and the step-size ceilings they imply.
 
-    Signal spectral norms are computed by power iteration (tolerance 1e-8).
-    Per-target constants are heuristic operating-region bounds (see
+    Signal spectral norms are exact (LAPACK).  Per-target constants are
+    heuristic operating-region bounds (see
     :func:`mtsica.supervision.source_lipschitz`): the ball radius is
     ``_GUARD_RADIUS_FACTOR`` times the largest trial spectral norm, since a
     candidate source row W_m z_i is norm-bounded by |W_m| |z_i|_2.
-    Overrides short-circuit the estimation.
     """
     fm_cfg = fm_cfg or FeatureMapConfig()
     z = dataset.signals
@@ -187,9 +186,6 @@ def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
 
     lms = []
     for m, model in enumerate(models):
-        if lm_override is not None:
-            lms.append(float(lm_override))
-            continue
         bound = float(np.max(np.abs(dataset.labels[:, m]))) if \
             model.kind == "continuous" else 0.0
         lms.append(source_lipschitz(model, fm_cfg, dataset.samples,
@@ -198,14 +194,9 @@ def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
     eta_u_max = (1.0 / (2.0 * lam * w_lip)
                  if lam > 0.0 and w_lip > 0.0 else float("inf"))
 
-    if ltheta_override is not None:
-        l_theta = float(ltheta_override)
-    elif models:
-        # initial sources are close to the matching signal rows (W0 ~ I)
-        l_theta = max(param_lipschitz(model, z[:, m, :], fm_cfg)
-                      for m, model in enumerate(models))
-    else:
-        l_theta = 0.0
+    # initial sources are close to the matching signal rows (W0 ~ I)
+    l_theta = max((param_lipschitz(model, z[:, m, :], fm_cfg)
+                   for m, model in enumerate(models)), default=0.0)
     denom = l_theta + mu
     eta_p_max = 1.0 / denom if denom > 0.0 else float("inf")
     return RateGuards(tuple(lms), l_theta, w_lip, avg_sq, eta_u_max, eta_p_max)

@@ -49,8 +49,8 @@ class FeatureMapConfig:
             raise ValueError("window must be >= 2")
         if self.hop < 1:
             raise ValueError("hop must be >= 1")
-        if self.log_eps <= 0.0:
-            raise ValueError("log_eps must be positive")
+        if not 0.0 < self.log_eps < np.inf:
+            raise ValueError("log_eps must be finite and positive")
 
     def n_windows(self, n_samples: int) -> int:
         if n_samples < self.window:
@@ -319,6 +319,8 @@ def optimizer_step(state: OptimizerState, theta: np.ndarray,
 # source_lipschitz samples this many gradient pairs from its own stream
 _LIPSCHITZ_PAIRS = 48
 _LIPSCHITZ_SEED = 0xB0B
+# param_lipschitz scales the feature second moment's top eigenvalue by this
+_PARAM_SAFETY = 4.0
 
 
 def source_lipschitz(model: SupervisedTargetModel, cfg: FeatureMapConfig,
@@ -329,10 +331,11 @@ def source_lipschitz(model: SupervisedTargetModel, cfg: FeatureMapConfig,
     For continuous targets without log compression the loss is a quartic
     whose Hessian norm admits the closed bound
     ``6*|M|^2*R^2 + 2*|M|*y_max`` with M the symmetric matrix satisfying
-    <theta, phi(s)> = s^T M s; |M| is found by power iteration using the
-    analytic adjoint as the matvec.  Otherwise the constant is estimated
-    from sampled gradient difference quotients inside the ball, times a
-    safety factor of 2.  Either way the value is a heuristic *operating
+    <theta, phi(s)> = s^T M s; |M| is found to machine precision by one
+    Lanczos run (:func:`mtsica.linalg.operator_norm`) using the analytic
+    adjoint as the matvec.  Otherwise the constant is estimated from
+    sampled gradient difference quotients inside the ball, times a safety
+    factor of 2.  Either way the value is a heuristic *operating
     region* bound: the features are quadratic, so no global constant
     exists.
     """
@@ -366,17 +369,17 @@ def source_lipschitz(model: SupervisedTargetModel, cfg: FeatureMapConfig,
 
 
 def param_lipschitz(model: SupervisedTargetModel, sources: np.ndarray,
-                    cfg: FeatureMapConfig, safety: float = 4.0) -> float:
+                    cfg: FeatureMapConfig) -> float:
     """Smoothness of the mean loss in theta, at the given source batch.
 
     The per-sample Hessian in theta is phi phi^T (continuous) or bounded
     by (1/2) phi phi^T per class block (categorical), so the constant is
     the top eigenvalue of the empirical feature second moment, scaled by
-    ``safety`` to absorb drift of the sources during fitting.
+    ``_PARAM_SAFETY`` to absorb drift of the sources during fitting.
     """
     phi = feature_map_batch(sources, cfg)
     n = phi.shape[0]
     lam = operator_norm(lambda v: phi.T @ (phi @ v) / n, phi.shape[1])
     if model.kind == KIND_CATEGORICAL:
         lam *= 0.5
-    return safety * lam
+    return _PARAM_SAFETY * lam

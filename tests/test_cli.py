@@ -227,6 +227,12 @@ def test_fit_rejects_malformed_configs(tmp_path, capsys):
             (d, ["window=1"], []),
             (d, ["hop=0"], []),
             (d, ["density=huber", "aux_mode=proximal"], []),
+            (d, ["init_scale=nan"], []),
+            (d, ["init_scale=inf"], []),
+            (d, ["lambda=nan"], []),
+            (d, ["lambda=inf"], []),
+            (d, ["mu=nan"], []),
+            (d, ["log_eps=inf"], []),
             (d, ["batch_trials=4"], ["--stochastic"]),     # N is 3
             (sup, ["iterations=1"], [])]):                 # window 64 > T
         bad_cfg = write_cfg(tmp_path / f"c{i}", lines)

@@ -57,7 +57,11 @@ def test_config_validation():
                 dict(beta2=-0.1), dict(trace_every=0), dict(u_max=0.0),
                 dict(batch_trials=0), dict(batch_times=-3),
                 dict(log_eps=0.0), dict(eps=0.0), dict(window=1),
-                dict(hop=0), dict(density="huber", aux_mode="proximal")]:
+                dict(hop=0), dict(density="huber", aux_mode="proximal"),
+                dict(lam=np.nan), dict(lam=np.inf), dict(mu=np.nan),
+                dict(mu=np.inf), dict(init_scale=np.nan),
+                dict(init_scale=np.inf), dict(init_scale=-np.inf),
+                dict(log_eps=np.nan), dict(log_eps=np.inf)]:
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     SolverConfig(eta_u=np.inf, iterations=0)         # both explicitly legal
@@ -69,15 +73,16 @@ def test_config_validation():
 
 # --- step-size guards ---
 
-def test_rate_guards_closed_form_plugins():
+def test_rate_guards_closed_form_plugins(monkeypatch):
     # one trial whose (C, T) signal has unit spectral norm
     z = np.zeros((1, 2, 16))
     z[0, 0, 0] = 1.0
     ds = Dataset(z, np.zeros((1, 1)),
                  (TargetSchema("y", "continuous"),))
     model = SupervisedTargetModel(ds.targets[0], np.zeros(FM16.dim(16)))
-    g = compute_rate_guards(ds, [model], lam=0.5, mu=1.0, fm_cfg=FM16,
-                            lm_override=1.0, ltheta_override=9.0)
+    monkeypatch.setattr(solver, "source_lipschitz", lambda *a: 1.0)
+    monkeypatch.setattr(solver, "param_lipschitz", lambda *a: 9.0)
+    g = compute_rate_guards(ds, [model], lam=0.5, mu=1.0, fm_cfg=FM16)
     assert g.avg_sq_signal_norm == pytest.approx(1.0, abs=1e-10)
     assert g.source_lipschitz == (1.0,)
     assert g.w_lipschitz == pytest.approx(1.0, abs=1e-10)

@@ -330,13 +330,29 @@ def test_source_lipschitz_bounds_observed_quotients():
     assert lip < 1e6 * worst        # sane order of magnitude, not a huge fudge
 
 
+def test_source_lipschitz_closed_form_uses_exact_norm_of_m():
+    # <theta, phi(s)> = s^T M s: the rows of M are the half-gradients at
+    # the unit vectors, pushed through the forward and the adjoint
+    cfg = FeatureMapConfig(window=8, hop=4)
+    t_len, radius, y_bound = 16, 6.0, 3.0
+    model = SupervisedTargetModel(
+        CONT, np.random.default_rng(21).normal(size=cfg.dim(t_len)))
+    _, ctx = _forward(np.eye(t_len), cfg)
+    m = 0.5 * _adjoint_from_ctx(
+        ctx, np.tile(model.theta, (t_len, 1)), t_len, cfg)
+    norm_m = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    want = 6.0 * norm_m ** 2 * radius ** 2 + 2.0 * norm_m * y_bound
+    got = source_lipschitz(model, cfg, t_len, radius, y_bound)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_param_lipschitz_bounds_theta_gradient_quotients():
     cfg = FeatureMapConfig(window=8, hop=4)
     rng = np.random.default_rng(12)
     sources = rng.normal(size=(6, 16))
     labels = rng.normal(size=6)
     model = SupervisedTargetModel(CONT, rng.normal(size=cfg.dim(16)))
-    lip = param_lipschitz(model, sources, cfg, safety=4.0)
+    lip = param_lipschitz(model, sources, cfg)
     for _ in range(20):
         th1 = rng.normal(size=model.theta.shape)
         th2 = th1 + rng.normal(size=model.theta.shape)
