@@ -11,10 +11,11 @@ unsupervised result, and compare success rates.  Supervision must never
 lower the rate.
 
 At this desk scale (200 trials, 6 channels, 800 iterations) every seed
-lands in the same tight cluster, so both rates come out 1.00 -- the
-failure events that motivate supervision are a tail phenomenon of much
-larger instances.  The protocol and the "never hurts" check are the
-point here.  Takes a couple of minutes.
+lands in the same tight cluster, so both rates come out 1.00.  The
+acceptance suite's larger instance (500 trials, 1000 iterations, 20
+seeds) measures 1.00 against 1.00 too: no instance in this repository
+yet has failing runs for supervision to rescue.  The protocol and the
+"never hurts" check are the point here.  Takes a couple of minutes.
 """
 
 import numpy as np

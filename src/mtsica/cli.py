@@ -32,6 +32,7 @@ from .data import (Dataset, DatasetFormatError, concat_trials, load_dataset,
                    preprocess, read_matrix_f64, save_dataset,
                    write_matrix_f64, write_matrix_text)
 from .metrics import amari_distance, evaluate_predictions, fobi
+# fit_full_batch is unused here; the benchmark harness's tracer patches it
 from .solver import (SolverAbort, SolverConfig, check_inputs, fit_full_batch,
                      fit_stochastic)
 from .supervision import (FeatureMapConfig, SupervisedTargetModel,
@@ -53,13 +54,15 @@ _FIELD_TYPES = typing.get_type_hints(SolverConfig)
 # file keys mirror SolverConfig fields, except 'lambda' (Python keyword)
 _KEY_TO_FIELD = {("lambda" if f == "lam" else f): f for f in _FIELD_TYPES}
 # run-level switches, read by both fit and eval --run
-_RUN_KEYS = ("stochastic", "preprocess_center", "preprocess_rescale")
+_RUN_KEYS = ("preprocess_center", "preprocess_rescale")
 # keys of removed options that older config.resolved files carry; each is
-# still checked against its old type, then ignored
+# still checked against its old type, then ignored, except that
+# stochastic=false (a fit that ignored its batch sizes) clears them
 _RETIRED_KEYS = {
     "lipschitz_lm": Optional[float],
     "lipschitz_ltheta": Optional[float],
     "update_order": Literal["theta_first", "aux_first"],
+    "stochastic": bool,
 }
 _KEY_TYPES = {**{k: _FIELD_TYPES[f] for k, f in _KEY_TO_FIELD.items()},
               **dict.fromkeys(_RUN_KEYS, bool), **_RETIRED_KEYS}
@@ -117,6 +120,8 @@ def parse_config_file(path) -> dict:
         if key in opts:
             raise CliError(f"{path}:{lineno}: duplicate config key {key!r}")
         opts[key] = _parse_value(key, raw)
+    if opts.get("stochastic") is False:
+        opts.update(batch_trials=None, batch_times=None)
     for key in _RETIRED_KEYS:
         opts.pop(key, None)
     return opts
@@ -196,17 +201,19 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_run_inputs(args):
+def _load_dataset(path) -> Dataset:
     try:
-        dataset = load_dataset(args.data)
+        return load_dataset(path)
     except DatasetFormatError as e:
-        raise CliError(f"bad dataset {args.data}: {e}") from e
+        raise CliError(f"bad dataset {path}: {e}") from e
+
+
+def _load_run_inputs(args):
+    dataset = _load_dataset(args.data)
     opts = parse_config_file(args.config) if args.config else {}
     # command-line flags override file values
     if args.seed is not None:
         opts["seed"] = args.seed
-    if args.stochastic:
-        opts["stochastic"] = True
     if args.center:
         opts["preprocess_center"] = True
     if args.rescale:
@@ -224,14 +231,13 @@ def _load_run_inputs(args):
             ground_truth = read_matrix_f64(gt_path)
         except (DatasetFormatError, OSError) as e:
             raise CliError(f"bad mixing file {gt_path}: {e}") from e
-    _check_inputs(args.data, dataset, config, extras["stochastic"],
-                  ground_truth)
+    _check_inputs(args.data, dataset, config, ground_truth)
     return dataset, config, extras, ground_truth
 
 
-def _check_inputs(data_path, dataset, config, stochastic, ground_truth=None):
+def _check_inputs(data_path, dataset, config, ground_truth=None):
     try:
-        check_inputs(dataset, config, stochastic, ground_truth)
+        check_inputs(dataset, config, ground_truth)
     except ValueError as e:
         raise CliError(f"invalid configuration for {data_path}: {e}") from e
 
@@ -240,10 +246,9 @@ def _run_single_fit(dataset, config, extras, ground_truth, out_dir,
                     timing: bool):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = fit_stochastic if extras["stochastic"] else fit_full_batch
     lines = resolved_config_lines(config, extras)
     try:
-        result = runner(dataset, config, ground_truth)
+        result = fit_stochastic(dataset, config, ground_truth)
     except SolverAbort as e:
         e.trace.to_csv(out / "trace.csv", lines, include_timing=timing)
         _write_fit_outputs(out, e.w_state, e.models, lines, dataset,
@@ -361,10 +366,7 @@ def cmd_eval(args) -> int:
         raise CliError("eval needs either --w/--mixing or --run/--data/--holdout")
     if not 0.0 < args.holdout <= 1.0:
         raise CliError("--holdout must be a fraction in (0, 1]")
-    try:
-        dataset = load_dataset(args.data)
-    except DatasetFormatError as e:
-        raise CliError(f"bad dataset {args.data}: {e}") from e
+    dataset = _load_dataset(args.data)
     run = Path(args.run)
     resolved = run / "config.resolved"
     if not resolved.is_file():
@@ -374,7 +376,9 @@ def cmd_eval(args) -> int:
     w = _read_matrix_checked(run / "W.f64")
     if w.shape != (dataset.channels, dataset.channels):
         raise CliError("W.f64 does not match the dataset channel count")
-    _check_inputs(args.data, dataset, config, stochastic=False)
+    # only the feature window: the scored trials may be fewer than a batch
+    _check_inputs(args.data, dataset,
+                  replace(config, batch_trials=None, batch_times=None))
     fm_cfg = config.feature_config
     models = []
     for m, schema in enumerate(dataset.targets):
@@ -401,10 +405,7 @@ def _read_matrix_checked(path, shape=None) -> np.ndarray:
 
 
 def cmd_baseline(args) -> int:
-    try:
-        dataset = load_dataset(args.data)
-    except DatasetFormatError as e:
-        raise CliError(f"bad dataset {args.data}: {e}") from e
+    dataset = _load_dataset(args.data)
     mixing_path = args.mixing or (Path(args.data) / "mixing.f64")
     if not Path(mixing_path).is_file():
         raise CliError(f"no mixing ground truth at {mixing_path}; pass --mixing")
@@ -463,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override config seed")
     p.add_argument("--seeds", help="A..B inclusive seed sweep "
                                    "(one run per seed, one after another)")
-    p.add_argument("--stochastic", action="store_true",
-                   help="minibatch mode (batch_trials/batch_times)")
     p.add_argument("--center", action="store_true",
                    help="subtract the global per-channel mean before fitting")
     p.add_argument("--rescale", action="store_true",

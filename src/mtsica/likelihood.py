@@ -38,7 +38,6 @@ class SuperGaussianDensity:
 
     name: str
     g: Callable[[np.ndarray], np.ndarray]
-    g_prime: Callable[[np.ndarray], np.ndarray]
     exact_weights: Callable[[np.ndarray, float], np.ndarray]
     f: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -80,7 +79,6 @@ def _huber_weights(x, u_max, out):
 LAPLACE = SuperGaussianDensity(
     name="laplace",
     g=np.abs,
-    g_prime=np.sign,
     exact_weights=_laplace_weights,
     f=_laplace_f,
 )
@@ -88,7 +86,6 @@ LAPLACE = SuperGaussianDensity(
 HUBER = SuperGaussianDensity(
     name="huber",
     g=_huber_g,
-    g_prime=lambda x: np.clip(x, -1.0, 1.0),
     exact_weights=_huber_weights,
     f=None,
 )

@@ -2,12 +2,12 @@
 
 One outer iteration is one straight pass over one gathered minibatch:
 
-1. draw the minibatch index sets (stochastic mode only) and gather the
-   batch trials once, ``sub = z[trials]``; the batch signals are
-   ``np.take(sub, times, axis=2)`` transposed to one C-contiguous
-   (C, n, tau) array (a full batch fit makes this copy once, before
-   iteration 1), and every head's sources come from one product
-   ``W[:M] @ sub``;
+1. draw the minibatch index sets and gather the batch trials once,
+   ``sub = z[trials]``; the batch signals are ``np.take(sub, times,
+   axis=2)`` transposed to one C-contiguous (C, n, tau) array, and every
+   head's sources come from one product ``W[:M] @ sub``.  A batch that
+   covers every trial and sample (``None`` means all) makes a full batch
+   fit, which draws nothing and makes the copy once, before iteration 1;
 2. step every supervised head theta with its first-order rule, using the
    gradient of the mean supervised loss at the current W (a head whose
    minibatch loss is not finite aborts the fit before any theta moves);
@@ -51,7 +51,7 @@ with the same data, config, and seed are bit-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -82,11 +82,11 @@ _SNAP_ENTRIES = 1 << 15
 class SolverConfig:
     """All solver knobs; mirrors the flat key=value config file.
 
-    ``batch_trials``/``batch_times`` of ``None`` mean the full dataset;
-    they only take effect in stochastic mode.  ``eta_u`` may be ``inf``
-    (no proximal tie on W).  Construction rejects every value that is
-    invalid on its own; :func:`check_inputs` rejects those that do not
-    fit a dataset.
+    ``batch_trials``/``batch_times`` of ``None`` mean the full dataset.
+    ``eta_u``, ``eta_a`` and ``u_max`` may be ``inf`` (no proximal tie on
+    W, the exact aux step, no clamp).  Construction rejects every value
+    that is invalid on its own; :func:`check_inputs` rejects those that
+    do not fit a dataset.
     """
 
     iterations: int = 1000
@@ -115,11 +115,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if not self.eta_u > 0.0:
-            raise ValueError("eta_u must be positive (inf allowed)")
-        for name in ("eta_p", "eta_a", "u_max", "eps"):
+        for name in ("eta_u", "eta_a", "u_max"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive (inf allowed)")
+        for name in ("eta_p", "eps"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         for name in ("lam", "mu"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
@@ -256,6 +257,10 @@ class SolverAbort(RuntimeError):
         self.w_state = w_state
         self.models = models
 
+    def __reduce__(self):  # the default passes only the message back
+        return type(self), (self.args[0], self.trace, self.w_state,
+                            self.models)
+
 
 class FitResult(NamedTuple):
     w_state: UnmixingState
@@ -266,35 +271,33 @@ class FitResult(NamedTuple):
 def fit_full_batch(dataset: Dataset, config: SolverConfig,
                    ground_truth: Optional[np.ndarray] = None,
                    _iter_hook=None) -> FitResult:
-    """Deterministic full-batch fit (every trial and sample each step).
-
-    ``_iter_hook(k, state, models, aux)`` runs at k = 0 and after each
-    iteration k.  Its ``aux`` is an (N, C, T) view of the live aux store,
-    which the next iteration overwrites: copy it to keep it.
-    """
-    return _fit(dataset, config, ground_truth, stochastic=False,
-                iter_hook=_iter_hook)
+    """Deterministic full-batch fit (every trial and sample each step):
+    :func:`fit_stochastic` with ``batch_trials``/``batch_times`` cleared."""
+    return fit_stochastic(
+        dataset, replace(config, batch_trials=None, batch_times=None),
+        ground_truth, _iter_hook)
 
 
 def fit_stochastic(dataset: Dataset, config: SolverConfig,
                    ground_truth: Optional[np.ndarray] = None,
                    _iter_hook=None) -> FitResult:
-    """Minibatch fit drawing ``batch_trials`` trials and ``batch_times``
-    time points afresh each iteration (without replacement, sorted).
+    """Fit on ``batch_trials`` trials and ``batch_times`` time points.
 
-    Auxiliary weights are refreshed only at sampled entries; unsampled
-    entries carry over from earlier iterations (all start from one exact
-    pass at the initial W).  With full-size batches this reproduces
-    :func:`fit_full_batch` exactly (the trace up to rounding: the two
-    modes form the sources ``W z`` by different matrix products).
-    ``_iter_hook`` is called as in :func:`fit_full_batch`; its ``aux`` is
-    an (N, C, T) view of the live store, so copy it to keep it.
+    A batch smaller than the dataset is drawn afresh each iteration
+    (without replacement, sorted); the auxiliary weights are refreshed
+    only at sampled entries, and unsampled entries carry over from
+    earlier iterations (all start from one exact pass at the initial W).
+    A batch that covers the dataset is the full batch fit, which draws
+    nothing.
+
+    ``_iter_hook(k, state, models, aux)`` runs at k = 0 and after each
+    iteration k.  Its ``aux`` is an (N, C, T) view of the live aux store,
+    which later iterations overwrite: copy it to keep it.
     """
-    return _fit(dataset, config, ground_truth, stochastic=True,
-                iter_hook=_iter_hook)
+    return _fit(dataset, config, ground_truth, iter_hook=_iter_hook)
 
 
-def check_inputs(dataset: Dataset, config: SolverConfig, stochastic: bool,
+def check_inputs(dataset: Dataset, config: SolverConfig,
                  ground_truth: Optional[np.ndarray] = None) -> tuple:
     """Check that ``config`` and ``ground_truth`` fit ``dataset``.
 
@@ -308,22 +311,19 @@ def check_inputs(dataset: Dataset, config: SolverConfig, stochastic: bool,
     if ground_truth is not None and \
             np.shape(ground_truth) != (channels, channels):
         raise ValueError("ground-truth mixing shape mismatch")
-    batch_n = config.batch_trials if (stochastic and config.batch_trials) \
-        else n_trials
-    batch_tau = config.batch_times if (stochastic and config.batch_times) \
-        else samples
+    batch_n = config.batch_trials or n_trials
+    batch_tau = config.batch_times or samples
     if batch_n > n_trials or batch_tau > samples:
         raise ValueError("minibatch size exceeds dataset dimensions")
     return batch_n, batch_tau
 
 
-def _fit(dataset, config, ground_truth, stochastic,
-         iter_hook=None) -> FitResult:
+def _fit(dataset, config, ground_truth, iter_hook=None) -> FitResult:
     t_start = time.perf_counter()
-    batch_n, batch_tau = check_inputs(dataset, config, stochastic,
-                                      ground_truth)
+    batch_n, batch_tau = check_inputs(dataset, config, ground_truth)
     z = dataset.signals
     n_trials, channels, samples = z.shape
+    stochastic = (batch_n, batch_tau) != (n_trials, samples)
     labels = dataset.labels
     n_targets = dataset.n_targets
     density = get_density(config.density)

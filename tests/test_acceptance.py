@@ -258,7 +258,8 @@ def test_5b_large_scale_margin_is_an_order_of_magnitude():
           f"FOBI mean {fobi_mean:.3f}")
 
 
-# --- criterion 6: a little supervision rescues failing runs ---
+# --- criterion 6: supervision does not lower the success rate (both
+# rates measure 1.00 here: no seed fails, so none is rescued) ---
 
 def test_6_supervision_does_not_hurt_success_rate():
     t0 = time.perf_counter()

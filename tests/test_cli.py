@@ -139,7 +139,7 @@ def test_fit_resolved_config_round_trips(tmp_path):
     assert opts["eta_u"] == np.inf
     assert opts["batch_trials"] == 2
     assert opts["iterations"] == 2
-    assert opts["stochastic"] is False
+    assert "stochastic" not in opts
     # files written before lipschitz_* and update_order were removed still
     # load: fit reproduces the run and eval --run scores it the same
     retired = ["lipschitz_lm=none", "lipschitz_ltheta=none",
@@ -191,6 +191,12 @@ def test_fit_supervised_with_flag_overrides(tmp_path):
     assert not filecmp.cmp(base / "W.f64", seeded / "W.f64", shallow=False)
 
 
+def trace_rows(rund):
+    """trace.csv without its resolved-config comment lines."""
+    return [line for line in (rund / "trace.csv").read_text().splitlines()
+            if not line.startswith("#")]
+
+
 def test_fit_stochastic_full_size_matches_full_batch(tmp_path):
     d = tmp_path / "ds"
     gen_sup(d)
@@ -199,11 +205,47 @@ def test_fit_stochastic_full_size_matches_full_batch(tmp_path):
                      SUP_CFG + ["batch_trials=4", "batch_times=32"])
     full, sto = tmp_path / "f", tmp_path / "st"
     assert run(["fit", "--data", d, "--config", cfg1, "--out", full]) == 0
-    assert run(["fit", "--data", d, "--config", cfg2, "--out", sto,
-                "--stochastic"]) == 0
+    assert run(["fit", "--data", d, "--config", cfg2, "--out", sto]) == 0
     assert filecmp.cmp(full / "W.f64", sto / "W.f64", shallow=False)
     assert filecmp.cmp(full / "theta_0.f64", sto / "theta_0.f64",
                        shallow=False)
+    assert trace_rows(full) == trace_rows(sto)
+
+
+def test_fit_batch_sizes_pick_the_path(tmp_path):
+    # a batch smaller than the dataset fits on minibatches with no flag;
+    # an older config.resolved reproduces its run: stochastic=true is
+    # dropped, stochastic=false clears the batch sizes its fit ignored
+    d = tmp_path / "ds"
+    gen_sup(d)                                      # N 4, T 32
+    batch = ["batch_trials=3", "batch_times=16"]
+    runs = {}
+    for name, extra in [("full", []), ("mini", batch),
+                        ("old_true", batch + ["stochastic=true"]),
+                        ("old_false", batch + ["stochastic=false"])]:
+        runs[name] = tmp_path / name
+        cfg = write_cfg(tmp_path / f"{name}.cfg", SUP_CFG + extra)
+        assert run(["fit", "--data", d, "--config", cfg,
+                    "--out", runs[name]]) == 0
+
+    def same(a, b):
+        return all(filecmp.cmp(runs[a] / f, runs[b] / f, shallow=False)
+                   for f in ("W.f64", "theta_0.f64"))
+
+    assert not same("mini", "full")
+    assert same("old_true", "mini") and same("old_false", "full")
+    assert trace_rows(runs["old_false"]) == trace_rows(runs["full"])
+    resolved = (runs["old_false"] / "config.resolved").read_text().split()
+    assert "batch_trials=none" in resolved and "batch_times=none" in resolved
+    assert not [k for k in resolved if k.startswith("stochastic")]
+    # eval --run checks only the feature window, not the batch
+    short = tmp_path / "short"
+    assert run(["gen", "--recipe", "supervision", "--seed", 1, "--out", short,
+                "--trials", "2", "--channels", "3", "--samples", "32",
+                "--targets", "1", "--kappa", "1", "--window", "8",
+                "--hop", "4", "--log-power"]) == 0
+    assert run(["eval", "--run", runs["mini"], "--data", short,
+                "--holdout", "1", "--out", tmp_path / "short.csv"]) == 0
 
 
 def test_fit_rejects_malformed_configs(tmp_path, capsys):
@@ -233,7 +275,10 @@ def test_fit_rejects_malformed_configs(tmp_path, capsys):
             (d, ["lambda=inf"], []),
             (d, ["mu=nan"], []),
             (d, ["log_eps=inf"], []),
-            (d, ["batch_trials=4"], ["--stochastic"]),     # N is 3
+            (d, ["eta_p=inf"], []),
+            (d, ["eps=inf"], []),
+            (d, ["batch_trials=4"], []),                   # N is 3
+            (d, ["batch_times=33", "stochastic=true"], []),  # T is 32
             (sup, ["iterations=1"], [])]):                 # window 64 > T
         bad_cfg = write_cfg(tmp_path / f"c{i}", lines)
         assert run(["fit", "--data", data, "--config", bad_cfg,
@@ -244,6 +289,8 @@ def test_fit_rejects_malformed_configs(tmp_path, capsys):
                 "--out", tmp_path / "o5"]) == 2
     assert run(["fit", "--data", d, "--out", tmp_path / "o6",
                 "--lemma1-order"]) == 2
+    assert run(["fit", "--data", d, "--out", tmp_path / "o7",
+                "--stochastic"]) == 2                # the flag is gone
 
 
 def test_fit_numerical_abort_flushes_partial_outputs(tmp_path, capsys):
