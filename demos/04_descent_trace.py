@@ -43,8 +43,8 @@ fs = [r.f_value for r in res.trace.records]
 print("monotone:", all(b <= a for a, b in zip(fs, fs[1:])))
 
 # PART III: proximal auxiliary update, same instance --------------------
-prox = fit_full_batch(ds, SolverConfig(aux_mode="proximal", eta_a=1.0,
-                                       **base), ground_truth=mixing)
+prox = fit_full_batch(ds, SolverConfig(eta_a=1.0, **base),
+                      ground_truth=mixing)
 fe, fp = res.trace.final().f_value, prox.trace.final().f_value
 print(f"\nfinal F  exact {fe:.6f}   proximal {fp:.6f}   "
       f"rel diff {abs(fp - fe) / abs(fe):.2e}")

@@ -56,13 +56,14 @@ _KEY_TO_FIELD = {("lambda" if f == "lam" else f): f for f in _FIELD_TYPES}
 # run-level switches, read by both fit and eval --run
 _RUN_KEYS = ("preprocess_center", "preprocess_rescale")
 # keys of removed options that older config.resolved files carry; each is
-# still checked against its old type, then ignored, except that
-# stochastic=false (a fit that ignored its batch sizes) clears them
+# still checked against its old type, then ignored, except where its value
+# changed the fit (see parse_config_file)
 _RETIRED_KEYS = {
     "lipschitz_lm": Optional[float],
     "lipschitz_ltheta": Optional[float],
     "update_order": Literal["theta_first", "aux_first"],
     "stochastic": bool,
+    "aux_mode": Literal["exact", "proximal"],
 }
 _KEY_TYPES = {**{k: _FIELD_TYPES[f] for k, f in _KEY_TO_FIELD.items()},
               **dict.fromkeys(_RUN_KEYS, bool), **_RETIRED_KEYS}
@@ -120,8 +121,12 @@ def parse_config_file(path) -> dict:
         if key in opts:
             raise CliError(f"{path}:{lineno}: duplicate config key {key!r}")
         opts[key] = _parse_value(key, raw)
-    if opts.get("stochastic") is False:
+    if opts.get("stochastic") is False:  # those fits ignored batch sizes
         opts.update(batch_trials=None, batch_times=None)
+    if opts.get("aux_mode") == "exact":  # those fits ignored eta_a
+        opts["eta_a"] = math.inf
+    elif opts.get("aux_mode") == "proximal":
+        opts.setdefault("eta_a", 1.0)  # the old default
     for key in _RETIRED_KEYS:
         opts.pop(key, None)
     return opts
@@ -416,7 +421,7 @@ def cmd_baseline(args) -> int:
         values = []
         rows = []
         for i in range(dataset.n_trials):
-            res = fobi(dataset.signals[i])
+            res = _fobi(dataset.signals[i], f"trial {i}")
             d = amari_distance(res.w, mixing)
             values.append(d)
             rows.append(f"{i},{d:.17g},{'true' if res.degenerate else 'false'}")
@@ -424,11 +429,18 @@ def cmd_baseline(args) -> int:
         rows.append(f"median,{np.median(values):.17g},")
         _emit_rows(args.out, comments, "trial,amari,degenerate", rows)
     else:
-        res = fobi(concat_trials(dataset))
+        res = _fobi(concat_trials(dataset), "the concatenated trials")
         d = amari_distance(res.w, mixing)
         _emit_rows(args.out, comments, "trial,amari,degenerate",
                    [f"concat,{d:.17g},{'true' if res.degenerate else 'false'}"])
     return EXIT_OK
+
+
+def _fobi(x, what):
+    try:
+        return fobi(x)
+    except ValueError as e:  # whiten: the covariance is rank-deficient
+        raise CliError(f"FOBI cannot whiten {what}: {e}") from e
 
 
 # --- argument parsing ----------------------------------------------------
@@ -508,7 +520,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except DatasetFormatError as e:
+    except (DatasetFormatError, OSError) as e:  # OSError: an unusable --out
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

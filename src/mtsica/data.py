@@ -76,8 +76,13 @@ class TargetSchema:
     def from_manifest(cls, d: dict) -> "TargetSchema":
         if not isinstance(d, dict) or "name" not in d or "kind" not in d:
             raise DatasetFormatError(f"malformed target entry: {d!r}")
-        return cls(str(d["name"]), str(d["kind"]),
-                   int(d["n_classes"]) if "n_classes" in d else None)
+        n_classes = d.get("n_classes")
+        if "n_classes" in d and type(n_classes) is not int:
+            raise DatasetFormatError(f"non-integer n_classes: {d!r}")
+        try:
+            return cls(str(d["name"]), str(d["kind"]), n_classes)
+        except ValueError as e:
+            raise DatasetFormatError(f"bad target entry {d!r}: {e}") from e
 
 
 def _own_readonly(x, dtype=np.float64) -> np.ndarray:

@@ -12,7 +12,7 @@ One outer iteration is one straight pass over one gathered minibatch:
    gradient of the mean supervised loss at the current W (a head whose
    minibatch loss is not finite aborts the fit before any theta moves);
 3. refresh the auxiliary weights at the sampled (trial, time) entries
-   (exact minimization or a damped proximal step);
+   (exact minimization at ``eta_a = inf``, else a damped proximal step);
 4. form the supervision coupling matrix B at the current W and new theta;
 5. sweep the rows of W cyclically, each row minimized in closed form.
 
@@ -84,19 +84,19 @@ class SolverConfig:
 
     ``batch_trials``/``batch_times`` of ``None`` mean the full dataset.
     ``eta_u``, ``eta_a`` and ``u_max`` may be ``inf`` (no proximal tie on
-    W, the exact aux step, no clamp).  Construction rejects every value
-    that is invalid on its own; :func:`check_inputs` rejects those that
-    do not fit a dataset.
+    W, the exact aux step, no clamp); a finite ``eta_a`` is the proximal
+    aux step, which needs a closed-form f.  Construction rejects every
+    value that is invalid on its own; :func:`check_inputs` rejects those
+    that do not fit a dataset.
     """
 
     iterations: int = 1000
     eta_u: float = 0.1
     eta_p: float = 1e-3
-    eta_a: float = 1.0
+    eta_a: float = np.inf
     lam: float = 0.0
     mu: float = 0.0
     density: str = "laplace"
-    aux_mode: str = "exact"
     optimizer: str = "sgd_wd"
     beta1: float = 0.9
     beta2: float = 0.999
@@ -127,11 +127,10 @@ class SolverConfig:
         if not np.isfinite(self.init_scale):
             raise ValueError("init_scale must be finite")
         density = get_density(self.density)
-        if self.aux_mode not in ("exact", "proximal"):
-            raise ValueError(f"unknown aux_mode {self.aux_mode!r}")
-        if self.aux_mode == "proximal" and not density.has_f:
-            raise ValueError(f"aux_mode proximal needs a closed-form f; "
-                             f"density {self.density!r} has none")
+        if self.eta_a < np.inf and not density.has_f:
+            raise ValueError(f"a finite eta_a (the proximal aux step) needs "
+                             f"a closed-form f; density {self.density!r} "
+                             f"has none")
         if self.optimizer not in ("sgd_wd", "adamw"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for name in ("beta1", "beta2"):
@@ -410,7 +409,7 @@ def _fit(dataset, config, ground_truth, iter_hook=None) -> FitResult:
 
             x = (state.w @ batch.reshape(channels, -1) if stochastic
                  else xs)
-            if config.aux_mode == "exact":
+            if config.eta_a == np.inf:
                 # a full batch refreshes the whole store in place
                 aux_k = aux_exact(x, density, config.u_max,
                                   out=None if stochastic else aux_flat)

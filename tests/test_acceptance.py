@@ -380,8 +380,8 @@ def test_8_identical_flags_give_identical_artifacts(tmp_path):
 def test_9_proximal_aux_matches_exact_minimization():
     ds, mixing, base = descent_instance()
     exact = fit_full_batch(ds, SolverConfig(**base), ground_truth=mixing)
-    prox = fit_full_batch(ds, SolverConfig(aux_mode="proximal", eta_a=1.0,
-                                           **base), ground_truth=mixing)
+    prox = fit_full_batch(ds, SolverConfig(eta_a=1.0, **base),
+                          ground_truth=mixing)
     fe = [r.f_value for r in exact.trace.records]
     fp = [r.f_value for r in prox.trace.records]
     assert_descends(fe)

@@ -3,16 +3,21 @@ baselines, exit codes, and reproducibility of written artifacts."""
 
 import filecmp
 import json
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mtsica import cli
 from mtsica.cli import main, parse_config_file
 from mtsica.data import (Dataset, load_dataset, read_matrix_f64,
                          save_dataset, write_matrix_f64)
+from mtsica.solver import SolverConfig
 
 GEN_TINY = ["gen", "--recipe", "multi_trial", "--seed", "0",
             "--trials", "3", "--channels", "2", "--samples", "32"]
@@ -102,6 +107,14 @@ def test_gen_usage_errors(tmp_path, capsys):
                 "--targets", "3", "--trials", "2", "--samples", "32",
                 "--window", "8", "--hop", "4"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_gen_out_on_an_existing_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep", encoding="utf-8")
+    assert run(GEN_TINY + ["--out", taken]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert taken.read_text(encoding="utf-8") == "keep"
 
 
 # --- fit ---
@@ -293,6 +306,89 @@ def test_fit_rejects_malformed_configs(tmp_path, capsys):
                 "--stochastic"]) == 2                # the flag is gone
 
 
+def test_fit_eta_a_picks_the_aux_step(tmp_path, capsys):
+    # eta_a = inf is the exact step and a finite eta_a the proximal one;
+    # an older config.resolved carrying aux_mode reproduces its run:
+    # exact fits ignored eta_a, proximal fits read it (1.0 when unset)
+    d = tmp_path / "ds"
+    gen_sup(d)
+    runs = {}
+    for name, extra in [("exact", ["eta_a=inf"]), ("prox", ["eta_a=0.5"]),
+                        ("prox1", ["eta_a=1"]),
+                        ("old_exact", ["aux_mode=exact", "eta_a=1"]),
+                        ("old_prox", ["aux_mode=proximal", "eta_a=0.5"]),
+                        ("old_prox1", ["aux_mode=proximal"])]:
+        runs[name] = tmp_path / name
+        cfg = write_cfg(tmp_path / f"{name}.cfg", SUP_CFG + extra)
+        assert run(["fit", "--data", d, "--config", cfg,
+                    "--out", runs[name]]) == 0
+
+    def same(a, b):
+        return all(filecmp.cmp(runs[a] / f, runs[b] / f, shallow=False)
+                   for f in ("W.f64", "theta_0.f64")) and \
+            trace_rows(runs[a]) == trace_rows(runs[b])
+
+    assert not same("exact", "prox") and not same("prox", "prox1")
+    assert same("old_exact", "exact") and same("old_prox", "prox") and \
+        same("old_prox1", "prox1")
+    resolved = (runs["old_exact"] / "config.resolved").read_text().split()
+    assert "eta_a=inf" in resolved
+    assert not [k for k in resolved if k.startswith("aux_mode")]
+    # eval --run scores a run directory whose config.resolved has aux_mode
+    old_run = tmp_path / "old_run"
+    shutil.copytree(runs["exact"], old_run)
+    write_cfg(old_run / "config.resolved",
+              [line for line in (runs["exact"] / "config.resolved")
+               .read_text().splitlines() if not line.startswith("eta_a=")]
+              + ["aux_mode=exact", "eta_a=1"])
+    scores = []
+    for rund in (runs["exact"], old_run):
+        csv = rund / "holdout.csv"
+        assert run(["eval", "--run", rund, "--data", d, "--holdout",
+                    "0.5", "--out", csv]) == 0
+        scores.append([line for line in csv.read_text().splitlines()
+                       if not line.startswith("# run=")])
+    assert scores[0] == scores[1]
+    capsys.readouterr()
+    tiny = tmp_path / "tiny"
+    gen_tiny(tiny)
+    for i, lines in enumerate([["aux_mode=implicit"],
+                               ["density=huber", "eta_a=1"]]):
+        assert run(["fit", "--data", tiny, "--config",
+                    write_cfg(tmp_path / f"bad{i}.cfg", lines),
+                    "--out", tmp_path / f"bad{i}"]) == 2, lines
+        assert capsys.readouterr().err.startswith("error:")
+    assert run(["fit", "--data", tiny, "--config",
+                write_cfg(tmp_path / "huber.cfg",
+                          ["iterations=2", "density=huber"]),
+                "--out", tmp_path / "huber"]) == 0
+
+
+def test_fit_out_on_an_existing_file_exits_2(tmp_path, capsys):
+    d = tmp_path / "ds"
+    gen_tiny(d)
+    taken = tmp_path / "taken"
+    taken.write_text("keep", encoding="utf-8")
+    assert run(["fit", "--data", d, "--config",
+                write_cfg(tmp_path / "cfg", ["iterations=1"]),
+                "--out", taken]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert taken.read_text(encoding="utf-8") == "keep"
+
+
+def test_bad_target_entry_exits_2(tmp_path, capsys):
+    d = tmp_path / "ds"
+    gen_sup(d)
+    mf = json.loads((d / "manifest.json").read_text())
+    mf["targets"][0]["kind"] = "ordinal"
+    (d / "manifest.json").write_text(json.dumps(mf))
+    for cmd in (["baseline", "--data", d],
+                ["fit", "--data", d, "--out", tmp_path / "run"]):
+        assert run(cmd) == 2, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ordinal" in err
+
+
 def test_fit_numerical_abort_flushes_partial_outputs(tmp_path, capsys):
     rng = np.random.default_rng(0)
     ds = Dataset(1e30 * rng.normal(size=(3, 2, 32)), np.zeros((3, 0)), ())
@@ -425,6 +521,15 @@ def test_eval_usage_errors(tmp_path, capsys):
     assert len([l for l in err if l.startswith("error:")]) == 4
 
 
+def test_eval_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    d = tmp_path / "ds"
+    gen_tiny(d)
+    assert run(["eval", "--w", d / "mixing.f64", "--mixing",
+                d / "mixing.f64", "--out", tmp_path / "missing" / "x.csv"]) \
+        == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # --- baseline ---
 
 def save_distinct_kurtosis_dataset(path, n=4, s=6000, seed=0):
@@ -487,6 +592,49 @@ def test_baseline_requires_ground_truth(tmp_path, capsys):
     save_dataset(ds, tmp_path / "ds")
     assert run(["baseline", "--data", tmp_path / "ds"]) == 2
     assert "mixing" in capsys.readouterr().err
+
+
+def test_baseline_names_the_trial_fobi_cannot_whiten(tmp_path, capsys):
+    z = np.random.default_rng(3).normal(size=(3, 2, 200))
+    one = z.copy()
+    one[1, 1] = 0.5                      # a flat channel in trial 1 only
+    every = z.copy()
+    every[:, 1] = 0.5                    # and in every trial
+    for mode, signals, where in [("per_trial", one, "trial 1"),
+                                 ("concat", every, "concatenated trials")]:
+        root = tmp_path / mode
+        save_dataset(Dataset(signals, np.zeros((3, 0)), ()), root)
+        write_matrix_f64(root / "mixing.f64", np.eye(2))
+        assert run(["baseline", "--data", root, "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FOBI cannot whiten") and where in err
+
+
+# --- documentation ---
+
+def test_readme_config_table_lists_the_live_keys_and_defaults():
+    # every key a config file takes, no retired one, each with its default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Config file reference", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        key_cell, default_cell = line.split("|")[1:3]
+        keys = re.findall(r"`(\w+)`", key_cell)
+        raws = [raw.strip().strip("`") for raw in default_cell.split(",")]
+        if len(raws) == 1:
+            raws *= len(keys)
+        assert len(raws) == len(keys), line
+        for key, raw in zip(keys, raws):
+            assert key not in table, key
+            table[key] = cli._parse_value(key, raw)
+    want = {("lambda" if f.name == "lam" else f.name): f.default
+            for f in fields(SolverConfig)}
+    want.update(dict.fromkeys(cli._RUN_KEYS, False))
+    assert table == want
 
 
 # --- entry points ---

@@ -210,6 +210,21 @@ def test_load_rejects_missing_and_corrupt_pieces(tmp_path):
         load_dataset(root)
 
 
+def test_load_rejects_bad_target_entries(tmp_path):
+    root = tmp_path / "d"
+    save_dataset(tiny_dataset(m=2), root)   # y0 continuous, y1 3 classes
+    manifest = (root / "manifest.json").read_text()
+    for m, patch in [(0, {"kind": "ordinal"}), (0, {"n_classes": 3}),
+                     (1, {"n_classes": 2.5}), (1, {"n_classes": "3"}),
+                     (1, {"n_classes": None}), (1, {"n_classes": True}),
+                     (1, {"n_classes": 1}), (0, {"name": ""})]:
+        mf = json.loads(manifest)
+        mf["targets"][m].update(patch)
+        (root / "manifest.json").write_text(json.dumps(mf))
+        with pytest.raises(DatasetFormatError):
+            load_dataset(root)
+
+
 def test_load_rejects_nonfinite_payload(tmp_path):
     ds = tiny_dataset(m=0)
     root = tmp_path / "d"

@@ -53,12 +53,12 @@ def sup_config(**kw):
 def test_config_validation():
     for bad in [dict(iterations=-1), dict(eta_u=0.0), dict(eta_p=-1.0),
                 dict(eta_a=0.0), dict(lam=-0.1), dict(mu=-0.1),
-                dict(density="cauchy"), dict(aux_mode="implicit"),
+                dict(density="cauchy"),
                 dict(optimizer="rmsprop"), dict(beta1=1.0),
                 dict(beta2=-0.1), dict(trace_every=0), dict(u_max=0.0),
                 dict(batch_trials=0), dict(batch_times=-3),
                 dict(log_eps=0.0), dict(eps=0.0), dict(window=1),
-                dict(hop=0), dict(density="huber", aux_mode="proximal"),
+                dict(hop=0), dict(density="huber", eta_a=1.0),
                 dict(lam=np.nan), dict(lam=np.inf), dict(mu=np.nan),
                 dict(mu=np.inf), dict(init_scale=np.nan),
                 dict(init_scale=np.inf), dict(init_scale=-np.inf),
@@ -70,6 +70,7 @@ def test_config_validation():
             SolverConfig(**bad)
     SolverConfig(eta_u=np.inf, iterations=0)         # both explicitly legal
     SolverConfig(eta_a=np.inf, u_max=np.inf)         # exact aux, no clamp
+    SolverConfig(density="huber")                    # exact aux by default
     fm = SolverConfig(window=32, hop=4, log_power=True,
                       log_eps=1e-5).feature_config
     assert (fm.window, fm.hop, fm.log_power, fm.log_eps) == \
@@ -161,7 +162,7 @@ def test_full_size_minibatches_reproduce_full_batch(tmp_path):
     # a batch that covers the dataset takes the full batch path: same W,
     # heads and trace bytes
     ds, mixing = small_sup(n=5)
-    for extra in ({}, dict(trace_every=3, aux_mode="proximal", eta_a=0.5)):
+    for extra in ({}, dict(trace_every=3, eta_a=0.5)):
         cfg = sup_config(batch_trials=5, batch_times=64, iterations=4,
                          **extra)
         full = fit_full_batch(ds, cfg, ground_truth=mixing)
@@ -174,14 +175,14 @@ def test_full_size_minibatches_reproduce_full_batch(tmp_path):
                            shallow=False)
 
 
-@pytest.mark.parametrize("aux_mode", ["exact", "proximal"])
-def test_stochastic_fit_matches_reference_loop(aux_mode):
+@pytest.mark.parametrize("eta_a", [np.inf, 0.5], ids=["exact", "proximal"])
+def test_stochastic_fit_matches_reference_loop(eta_a):
     # the documented iteration rebuilt from the unit-tested pieces must
     # reproduce the solver bit for bit
     ds, mixing = small_sup(n=6, m=2)
     cfg = sup_config(iterations=3, batch_trials=3, batch_times=32, seed=5,
                      lam=1e-3, mu=0.1, eta_p=1e-3, optimizer="adamw",
-                     aux_mode=aux_mode, eta_a=0.5)
+                     eta_a=eta_a)
     res = fit_stochastic(ds, cfg, ground_truth=mixing)
 
     z, labels = ds.signals, ds.labels
@@ -227,7 +228,7 @@ def test_stochastic_fit_matches_reference_loop(aux_mode):
         ix = np.ix_(np.arange(c_dim), trials, times)
         batch = z_t[ix]                              # (C, n, tau)
         x = state.w @ batch.reshape(c_dim, -1)
-        if aux_mode == "exact":
+        if eta_a == np.inf:
             u_batch = aux_exact(x, density, cfg.u_max)
         else:
             u_batch = aux_proximal(x, aux_t[ix].reshape(c_dim, -1),
@@ -254,15 +255,14 @@ def test_stochastic_fit_matches_reference_loop(aux_mode):
                                atol=0.0)
 
 
-@pytest.mark.parametrize("aux_mode", ["exact", "proximal"])
-def test_full_batch_fit_matches_reference_loop(aux_mode):
+@pytest.mark.parametrize("eta_a", [np.inf, 0.5], ids=["exact", "proximal"])
+def test_full_batch_fit_matches_reference_loop(eta_a):
     # the full batch iteration rebuilt with fresh sources W z at every
     # step: the solver carries W z from each sweep to the snapshot and to
     # the next aux refresh, and refreshes the aux store in place
     ds, mixing = small_sup(n=5, m=1)
     cfg = sup_config(iterations=5, trace_every=2, lam=1e-3, mu=0.1,
-                     eta_p=1e-3, optimizer="adamw", aux_mode=aux_mode,
-                     eta_a=0.5)
+                     eta_p=1e-3, optimizer="adamw", eta_a=eta_a)
     hooked = {}
 
     def hook(k, state, models, aux):
@@ -312,7 +312,7 @@ def test_full_batch_fit_matches_reference_loop(aux_mode):
         models[0].theta = optimizer_step(opts[0], models[0].theta, grad,
                                          cfg.mu)
         x = fresh_sources()
-        if aux_mode == "exact":
+        if eta_a == np.inf:
             aux = aux_exact(x, density, cfg.u_max)
         else:
             aux = aux_proximal(x, aux, cfg.eta_a, density, cfg.u_max)
@@ -343,11 +343,11 @@ def test_every_config_field_changes_the_fit():
     # the base turns every mode on so that each knob has work to do
     ds, mixing = small_sup(n=6, m=2)
     base = dict(iterations=3, eta_u=0.05, eta_p=1e-3, eta_a=0.5, lam=1e-3,
-                mu=0.1, aux_mode="proximal", optimizer="adamw",
+                mu=0.1, optimizer="adamw",
                 batch_trials=3, batch_times=32, window=16, hop=8,
                 log_power=True, u_max=2.0, seed=5)
     changed = dict(iterations=2, eta_u=0.1, eta_p=2e-3, eta_a=0.25,
-                   lam=2e-3, mu=0.2, density="huber", aux_mode="exact",
+                   lam=2e-3, mu=0.2, density="huber",
                    optimizer="sgd_wd", beta1=0.8, beta2=0.99, eps=1e-4,
                    batch_trials=4, batch_times=48, seed=6, trace_every=2,
                    window=8, hop=4, log_power=False, log_eps=1e-3,
@@ -448,7 +448,7 @@ def test_huber_has_no_closed_objective():
     assert all(np.isfinite(r.loss_unsup) for r in res.trace.records)
     with pytest.raises(ValueError):
         fit_full_batch(ds, SolverConfig(iterations=1, density="huber",
-                                        aux_mode="proximal"))
+                                        eta_a=1.0))
 
 
 def test_proximal_iterates_settle(tmp_path):
@@ -456,7 +456,7 @@ def test_proximal_iterates_settle(tmp_path):
     ds, _ = gen_dataset("multi_trial", 5, n_trials=6, channels=3,
                         samples=128)
     cfg = SolverConfig(iterations=2000, eta_u=0.3, lam=0.0,
-                       aux_mode="proximal", eta_a=1.0, u_max=1.0,
+                       eta_a=1.0, u_max=1.0,
                        trace_every=2000, seed=0)
     prev = {}
     gaps = []
@@ -496,14 +496,14 @@ def test_fit_holds_no_dataset_size_scratch(fit, bound):
 
 
 @pytest.mark.parametrize("fit", [fit_stochastic, fit_full_batch])
-@pytest.mark.parametrize("aux_mode", ["exact", "proximal"])
-def test_blocked_snapshot_matches_whole_array_oracle(fit, aux_mode,
+@pytest.mark.parametrize("eta_a", [np.inf, 0.5], ids=["exact", "proximal"])
+def test_blocked_snapshot_matches_whole_array_oracle(fit, eta_a,
                                                      monkeypatch):
     # blocks of 2 trials over 7 (the last one ragged) change no iterate,
     # and the trace equals its definition evaluated on whole arrays
     ds, mixing = small_sup(n=7, m=2)
     cfg = sup_config(iterations=4, trace_every=2, batch_trials=3,
-                     batch_times=32, mu=0.1, aux_mode=aux_mode, eta_a=0.5)
+                     batch_times=32, mu=0.1, eta_a=eta_a)
     default = fit(ds, cfg, ground_truth=mixing)
     grabbed = {}
 
