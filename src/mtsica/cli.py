@@ -35,7 +35,8 @@ from .metrics import amari_distance, evaluate_predictions, fobi
 # fit_full_batch is unused here; the benchmark harness's tracer patches it
 from .solver import (SolverAbort, SolverConfig, check_inputs, fit_full_batch,
                      fit_stochastic)
-from .supervision import (FeatureMapConfig, SupervisedTargetModel,
+from .supervision import (_ADAM_EPS, _BETA1, _BETA2, _LOG_EPS,
+                          FeatureMapConfig, SupervisedTargetModel,
                           theta_shape)
 from .synthgen import RECIPES, gen_dataset
 
@@ -55,6 +56,10 @@ _FIELD_TYPES = typing.get_type_hints(SolverConfig)
 _KEY_TO_FIELD = {("lambda" if f == "lam" else f): f for f in _FIELD_TYPES}
 # run-level switches, read by both fit and eval --run
 _RUN_KEYS = ("preprocess_center", "preprocess_rescale")
+# retired keys whose old default is now a constant of mtsica.supervision;
+# a file may repeat that value, and no other
+_FIXED_KEYS = {"beta1": _BETA1, "beta2": _BETA2, "eps": _ADAM_EPS,
+               "log_eps": _LOG_EPS}
 # keys of removed options that older config.resolved files carry; each is
 # still checked against its old type, then ignored, except where its value
 # changed the fit (see parse_config_file)
@@ -64,6 +69,7 @@ _RETIRED_KEYS = {
     "update_order": Literal["theta_first", "aux_first"],
     "stochastic": bool,
     "aux_mode": Literal["exact", "proximal"],
+    **dict.fromkeys(_FIXED_KEYS, float),
 }
 _KEY_TYPES = {**{k: _FIELD_TYPES[f] for k, f in _KEY_TO_FIELD.items()},
               **dict.fromkeys(_RUN_KEYS, bool), **_RETIRED_KEYS}
@@ -127,6 +133,10 @@ def parse_config_file(path) -> dict:
         opts["eta_a"] = math.inf
     elif opts.get("aux_mode") == "proximal":
         opts.setdefault("eta_a", 1.0)  # the old default
+    for key, value in _FIXED_KEYS.items():
+        if opts.get(key, value) != value:
+            raise CliError(f"invalid configuration: {key} is fixed at "
+                           f"{value!r}, got {opts[key]!r}")
     for key in _RETIRED_KEYS:
         opts.pop(key, None)
     return opts
@@ -381,13 +391,16 @@ def cmd_eval(args) -> int:
     w = _read_matrix_checked(run / "W.f64")
     if w.shape != (dataset.channels, dataset.channels):
         raise CliError("W.f64 does not match the dataset channel count")
-    # only the feature window: the scored trials may be fewer than a batch
-    _check_inputs(args.data, dataset,
-                  replace(config, batch_trials=None, batch_times=None))
+    # only the feature window: the scored trials may be fewer than a
+    # batch, and scoring takes no aux step
     fm_cfg = config.feature_config
+    try:
+        dim = fm_cfg.dim(dataset.samples) if dataset.n_targets else 0
+    except ValueError as e:
+        raise CliError(f"invalid configuration for {args.data}: {e}") from e
     models = []
     for m, schema in enumerate(dataset.targets):
-        shape = theta_shape(schema, fm_cfg.dim(dataset.samples))
+        shape = theta_shape(schema, dim)
         theta = _read_matrix_checked(run / f"theta_{m}.f64", shape)
         models.append(SupervisedTargetModel(schema, theta))
     n_hold = math.ceil(args.holdout * dataset.n_trials)
@@ -415,7 +428,7 @@ def cmd_baseline(args) -> int:
     if not Path(mixing_path).is_file():
         raise CliError(f"no mixing ground truth at {mixing_path}; pass --mixing")
     mixing = _read_matrix_checked(mixing_path)
-    comments = [f"mtsica {__version__} baseline ({args.method}, {args.mode})",
+    comments = [f"mtsica {__version__} baseline (fobi, {args.mode})",
                 f"data={args.data}", f"mixing={mixing_path}"]
     if args.mode == "per_trial":
         values = []
@@ -499,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="classical baselines on a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=["fobi"], default="fobi")
     p.add_argument("--mode", choices=["per_trial", "concat"],
                    default="per_trial")
     p.add_argument("--mixing", help="ground truth "

@@ -263,12 +263,10 @@ def load_dataset(path) -> Dataset:
             f"unsupported payload_dtype {manifest['payload_dtype']!r}")
     if manifest["layout"] != _LAYOUT:
         raise DatasetFormatError(f"unsupported layout {manifest['layout']!r}")
-    try:
-        n = int(manifest["n_trials"])
-        c = int(manifest["channels"])
-        t = int(manifest["samples"])
-    except (TypeError, ValueError) as e:
-        raise DatasetFormatError(f"non-integer dimensions in manifest: {e}") from e
+    n, c, t = (manifest[k] for k in ("n_trials", "channels", "samples"))
+    if any(type(v) is not int for v in (n, c, t)):  # bool is not int here
+        raise DatasetFormatError(
+            f"non-integer dimensions in manifest: N={n!r} C={c!r} T={t!r}")
     if min(n, c, t) < 1:
         raise DatasetFormatError(f"invalid dimensions N={n} C={c} T={t}")
     if not isinstance(manifest["targets"], list):

@@ -98,9 +98,6 @@ class SolverConfig:
     mu: float = 0.0
     density: str = "laplace"
     optimizer: str = "sgd_wd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_trials: Optional[int] = None
     batch_times: Optional[int] = None
     seed: int = 0
@@ -108,7 +105,6 @@ class SolverConfig:
     window: int = 64
     hop: int = 32
     log_power: bool = False
-    log_eps: float = 1e-6
     u_max: float = 1e8
     init_scale: float = 0.01
 
@@ -118,9 +114,8 @@ class SolverConfig:
         for name in ("eta_u", "eta_a", "u_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive (inf allowed)")
-        for name in ("eta_p", "eps"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        if not 0.0 < self.eta_p < np.inf:
+            raise ValueError("eta_p must be finite and positive")
         for name in ("lam", "mu"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
@@ -133,21 +128,17 @@ class SolverConfig:
                              f"has none")
         if self.optimizer not in ("sgd_wd", "adamw"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
         for name in ("batch_trials", "batch_times"):
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1 when set")
-        self.feature_config  # built once here; checks window, hop, log_eps
+        self.feature_config  # built once here; checks window and hop
 
     @cached_property
     def feature_config(self) -> FeatureMapConfig:
-        return FeatureMapConfig(self.window, self.hop,
-                                self.log_power, self.log_eps)
+        return FeatureMapConfig(self.window, self.hop, self.log_power)
 
 
 @dataclass(frozen=True)
@@ -302,11 +293,21 @@ def check_inputs(dataset: Dataset, config: SolverConfig,
 
     Returns the (trials, times) minibatch sizes of one iteration; raises
     ``ValueError`` when a window, a minibatch or the ground truth does
-    not fit the dataset.  Fitting runs this before iteration 1.
+    not fit the dataset, or when ``u_max = inf`` meets a sample that is
+    zero in every channel.  Fitting runs this before iteration 1.
     """
     n_trials, channels, samples = dataset.signals.shape
     if dataset.n_targets:
         config.feature_config.dim(samples)  # raises when window > T
+    if config.u_max == np.inf and np.isinf(
+            aux_exact(np.zeros(1), get_density(config.density), np.inf)[0]):
+        # W z = 0 there for every W, so the exact weight is infinite
+        zero = np.argwhere(~np.any(dataset.signals, axis=1))
+        if zero.size:
+            i, t = zero[0]
+            raise ValueError(
+                f"u_max = inf needs a nonzero channel at every sample, but "
+                f"trial {i} is zero in every channel at time {t}")
     if ground_truth is not None and \
             np.shape(ground_truth) != (channels, channels):
         raise ValueError("ground-truth mixing shape mismatch")
@@ -336,8 +337,7 @@ def _fit(dataset, config, ground_truth, iter_hook=None) -> FitResult:
     state = _draw_invertible_init(rng, channels, config.init_scale)
     models = [init_model(schema, feature_dim, rng, config.init_scale)
               for schema in dataset.targets]
-    optimizers = [make_optimizer(config.optimizer, config.eta_p, m.theta,
-                                 config.beta1, config.beta2, config.eps)
+    optimizers = [make_optimizer(config.optimizer, config.eta_p, m.theta)
                   for m in models]
 
     trace = Trace()

@@ -42,15 +42,12 @@ class FeatureMapConfig:
     window: int = 64
     hop: int = 32
     log_power: bool = False
-    log_eps: float = 1e-6
 
     def __post_init__(self):
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if self.hop < 1:
             raise ValueError("hop must be >= 1")
-        if not 0.0 < self.log_eps < np.inf:
-            raise ValueError("log_eps must be finite and positive")
 
     def n_windows(self, n_samples: int) -> int:
         if n_samples < self.window:
@@ -110,6 +107,10 @@ def _dft_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# floor added to every power before log compression
+_LOG_EPS = 1e-6
+
+
 def _windowed(batch: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     # (B, T) -> (B, n_windows, window) view
     view = np.lib.stride_tricks.sliding_window_view(batch, cfg.window, axis=1)
@@ -122,7 +123,7 @@ def _forward(batch: np.ndarray, cfg: FeatureMapConfig):
     The windows of every row are copied into one ``(B * n_windows,
     window)`` array and multiplied by the cached :func:`_trig` table
     (see :func:`_dft_gemm`), giving ``ri = [re | im]``.  The context is
-    ``(ri, shifted)``, with ``shifted = power + log_eps`` under log
+    ``(ri, shifted)``, with ``shifted = power + _LOG_EPS`` under log
     compression and ``None`` otherwise; :func:`_adjoint_from_ctx`
     consumes it.
     """
@@ -136,7 +137,7 @@ def _forward(batch: np.ndarray, cfg: FeatureMapConfig):
     power += im * im
     b = batch.shape[0]
     if cfg.log_power:
-        power += cfg.log_eps
+        power += _LOG_EPS
         return np.log(power).reshape(b, -1), (ri, power)
     return power.reshape(b, -1), (ri, None)
 
@@ -160,7 +161,7 @@ def _adjoint_from_ctx(ctx, grad_phi: np.ndarray, n_samples: int,
     n_win = rows // b
     v = grad_phi.reshape(rows, n_bins)
     if cfg.log_power:
-        v = v / shifted  # chain rule through log(power + eps)
+        v = v / shifted  # chain rule through log(power + _LOG_EPS)
     # ri = frames @ [cos | -sin], so d(power_k)/d(x_t)
     # = 2*re_k*cos(w*k*t) - 2*im_k*sin(w*k*t) = 2 * (ri_k . table[t])
     halves = ri.reshape(rows, 2, n_bins)
@@ -274,26 +275,26 @@ def predict_batch(model: SupervisedTargetModel, batch: np.ndarray,
 
 # --- first-order parameter updates --------------------------------------
 
+# AdamW moment decays and denominator floor (Kingma and Ba's defaults)
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     """State of a per-target parameter update rule."""
 
     rule: str  # "sgd_wd" | "adamw"
     eta_p: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: Optional[np.ndarray] = field(default=None, repr=False)
     v: Optional[np.ndarray] = field(default=None, repr=False)
     t: int = 0
 
 
-def make_optimizer(rule: str, eta_p: float, theta_like: np.ndarray,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> OptimizerState:
+def make_optimizer(rule: str, eta_p: float,
+                   theta_like: np.ndarray) -> OptimizerState:
     if rule not in ("sgd_wd", "adamw"):
         raise ValueError(f"unknown optimizer rule {rule!r}")
-    state = OptimizerState(rule, eta_p, beta1, beta2, eps)
+    state = OptimizerState(rule, eta_p)
     if rule == "adamw":
         state.m = np.zeros_like(theta_like)
         state.v = np.zeros_like(theta_like)
@@ -307,11 +308,11 @@ def optimizer_step(state: OptimizerState, theta: np.ndarray,
     if state.rule == "sgd_wd":
         return decay * theta - state.eta_p * grad
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return decay * theta - state.eta_p * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grad
+    state.v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad
+    m_hat = state.m / (1.0 - _BETA1 ** state.t)
+    v_hat = state.v / (1.0 - _BETA2 ** state.t)
+    return decay * theta - state.eta_p * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # --- smoothness constants for the step-size guards ----------------------

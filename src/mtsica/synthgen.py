@@ -112,7 +112,8 @@ def gen_dataset(recipe: str, seed: int, n_trials: int | None = None,
     """Generate a dataset ``(Dataset, mixing_matrix)`` from a recipe.
 
     Any dimension can be overridden; remaining values use the recipe
-    defaults.  Determinism: same arguments, same bytes.
+    defaults.  ``kappa`` applies to the recipes with Hilbert mixing only.
+    Determinism: same arguments, same bytes.
     """
     if recipe not in RECIPES:
         raise ValueError(f"unknown recipe {recipe!r}; choose from {sorted(RECIPES)}")
@@ -126,6 +127,9 @@ def gen_dataset(recipe: str, seed: int, n_trials: int | None = None,
     if n_targets is not None:
         spec["n_targets"] = n_targets
     if kappa is not None:
+        if spec["mixing"] != "hilbert":
+            raise ValueError(f"kappa sets the Hilbert mixing's condition; "
+                             f"recipe {recipe!r} mixes with a Gaussian matrix")
         spec["kappa"] = kappa
     fm_cfg = fm_cfg or FeatureMapConfig()
 

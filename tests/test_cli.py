@@ -109,6 +109,13 @@ def test_gen_usage_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_kappa_needs_hilbert_mixing(tmp_path, capsys):
+    # multi_trial mixes with a Gaussian matrix that kappa never reached
+    assert run(GEN_TINY + ["--kappa", "3", "--out", tmp_path / "x"]) == 2
+    assert "kappa" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_gen_out_on_an_existing_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep", encoding="utf-8")
@@ -364,6 +371,72 @@ def test_fit_eta_a_picks_the_aux_step(tmp_path, capsys):
                 "--out", tmp_path / "huber"]) == 0
 
 
+def test_fit_fixed_keys_accept_only_their_old_defaults(tmp_path, capsys):
+    # beta1, beta2, eps and log_eps are constants now; an older
+    # config.resolved pins their defaults as written by %.17g and still
+    # reproduces its run, and eval --run still scores its run directory
+    d = tmp_path / "ds"
+    gen_sup(d)
+    base = SUP_CFG + ["optimizer=adamw", "mu=0.1", "batch_trials=2",
+                      "batch_times=16"]
+    old_keys = ["beta1=0.90000000000000002", "beta2=0.999", "eps=1e-08",
+                "log_eps=9.9999999999999995e-07"]
+    runs = {}
+    for name, extra in [("new", []), ("old", old_keys)]:
+        runs[name] = tmp_path / name
+        assert run(["fit", "--data", d, "--config",
+                    write_cfg(tmp_path / f"{name}.cfg", base + extra),
+                    "--out", runs[name]]) == 0
+    for f in ("W.f64", "theta_0.f64"):
+        assert filecmp.cmp(runs["new"] / f, runs["old"] / f, shallow=False)
+    assert trace_rows(runs["new"]) == trace_rows(runs["old"])
+    resolved = (runs["old"] / "config.resolved").read_text()
+    assert not [k for k in cli._FIXED_KEYS if f"\n{k}=" in resolved]
+    with open(runs["old"] / "config.resolved", "a", encoding="utf-8") as fh:
+        fh.write("\n".join(old_keys) + "\n")
+    scores = []
+    for rund in (runs["new"], runs["old"]):
+        csv = rund / "holdout.csv"
+        assert run(["eval", "--run", rund, "--data", d, "--holdout",
+                    "0.5", "--out", csv]) == 0
+        scores.append([line for line in csv.read_text().splitlines()
+                       if not line.startswith("# run=")])
+    assert scores[0] == scores[1]
+    capsys.readouterr()
+    for i, line in enumerate(["beta1=0.8", "beta2=0.99", "eps=1e-4",
+                              "log_eps=1e-3", "eps=nan", "beta1=none"]):
+        assert run(["fit", "--data", d, "--config",
+                    write_cfg(tmp_path / f"bad{i}.cfg", base + [line]),
+                    "--out", tmp_path / f"bad{i}"]) == 2, line
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and line.split("=")[0] in err, err
+    assert not (tmp_path / "bad0").exists()
+
+
+def test_fit_u_max_inf_rejects_a_sample_zero_in_every_channel(
+        tmp_path, capsys):
+    # the exact weight there is infinite; eval takes no aux step
+    d, dz = tmp_path / "ds", tmp_path / "zero"
+    gen_sup(d)
+    ds = load_dataset(d)
+    signals = np.array(ds.signals)
+    signals[1, :, 10] = 0.0
+    save_dataset(Dataset(signals, ds.labels, ds.targets), dz)
+    cfg = write_cfg(tmp_path / "cfg", SUP_CFG + ["u_max=inf"])
+    assert run(["fit", "--data", dz, "--config", cfg,
+                "--out", tmp_path / "bad"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trial 1" in err and \
+        "time 10" in err
+    assert run(["fit", "--data", dz, "--config",
+                write_cfg(tmp_path / "default.cfg", SUP_CFG),
+                "--out", tmp_path / "default"]) == 0
+    rund = tmp_path / "run"
+    assert run(["fit", "--data", d, "--config", cfg, "--out", rund]) == 0
+    assert run(["eval", "--run", rund, "--data", dz, "--holdout", "1",
+                "--out", tmp_path / "eval.csv"]) == 0
+
+
 def test_fit_out_on_an_existing_file_exits_2(tmp_path, capsys):
     d = tmp_path / "ds"
     gen_tiny(d)
@@ -387,6 +460,21 @@ def test_bad_target_entry_exits_2(tmp_path, capsys):
         assert run(cmd) == 2, cmd
         err = capsys.readouterr().err
         assert err.startswith("error:") and "ordinal" in err
+
+
+@pytest.mark.parametrize("key,bad", [("n_trials", 2.5), ("n_trials", "2"),
+                                     ("samples", 32.0)])
+def test_non_integer_manifest_dimension_exits_2(tmp_path, capsys, key, bad):
+    d = tmp_path / "ds"
+    gen_tiny(d)
+    mf = json.loads((d / "manifest.json").read_text())
+    mf[key] = bad
+    (d / "manifest.json").write_text(json.dumps(mf))
+    for cmd in (["baseline", "--data", d],
+                ["fit", "--data", d, "--out", tmp_path / "run"]):
+        assert run(cmd) == 2, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-integer" in err
 
 
 def test_fit_numerical_abort_flushes_partial_outputs(tmp_path, capsys):
@@ -610,6 +698,17 @@ def test_baseline_names_the_trial_fobi_cannot_whiten(tmp_path, capsys):
         assert err.startswith("error: FOBI cannot whiten") and where in err
 
 
+def test_baseline_method_flag_is_gone(tmp_path, capsys):
+    # FOBI is the only baseline; the comment line still names it
+    d = tmp_path / "ds"
+    save_distinct_kurtosis_dataset(d, n=2)
+    assert run(["baseline", "--data", d, "--method", "fobi"]) == 2
+    capsys.readouterr()
+    for mode in ("per_trial", "concat"):
+        assert run(["baseline", "--data", d, "--mode", mode]) == 0
+        assert f"baseline (fobi, {mode})" in capsys.readouterr().out
+
+
 # --- documentation ---
 
 def test_readme_config_table_lists_the_live_keys_and_defaults():
@@ -635,6 +734,17 @@ def test_readme_config_table_lists_the_live_keys_and_defaults():
             for f in fields(SolverConfig)}
     want.update(dict.fromkeys(cli._RUN_KEYS, False))
     assert table == want
+
+
+def test_readme_names_every_retired_key():
+    # the retired-key paragraph lists the keys by hand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    para = readme.split("Files from earlier versions may also carry", 1)[1]
+    para = para.split("\n\n", 1)[0]
+    named = set(re.findall(r"`(\w+)`", para))
+    assert set(cli._RETIRED_KEYS) <= named, \
+        set(cli._RETIRED_KEYS) - named
 
 
 # --- entry points ---

@@ -225,6 +225,23 @@ def test_load_rejects_bad_target_entries(tmp_path):
             load_dataset(root)
 
 
+def test_load_rejects_non_integer_dimensions(tmp_path):
+    root = tmp_path / "d"
+    save_dataset(tiny_dataset(n=2, m=0), root)      # (2, 3, 16)
+    manifest = (root / "manifest.json").read_text()
+    for key, bad in [("n_trials", 2.5), ("n_trials", "2"),
+                     ("n_trials", 2.0), ("n_trials", True),
+                     ("n_trials", None), ("channels", 3.0),
+                     ("samples", "16")]:
+        mf = json.loads(manifest)
+        mf[key] = bad
+        (root / "manifest.json").write_text(json.dumps(mf))
+        with pytest.raises(DatasetFormatError, match="non-integer"):
+            load_dataset(root)
+    (root / "manifest.json").write_text(manifest)
+    assert load_dataset(root).signals.shape == (2, 3, 16)
+
+
 def test_load_rejects_nonfinite_payload(tmp_path):
     ds = tiny_dataset(m=0)
     root = tmp_path / "d"

@@ -53,28 +53,23 @@ def sup_config(**kw):
 def test_config_validation():
     for bad in [dict(iterations=-1), dict(eta_u=0.0), dict(eta_p=-1.0),
                 dict(eta_a=0.0), dict(lam=-0.1), dict(mu=-0.1),
-                dict(density="cauchy"),
-                dict(optimizer="rmsprop"), dict(beta1=1.0),
-                dict(beta2=-0.1), dict(trace_every=0), dict(u_max=0.0),
-                dict(batch_trials=0), dict(batch_times=-3),
-                dict(log_eps=0.0), dict(eps=0.0), dict(window=1),
+                dict(density="cauchy"), dict(optimizer="rmsprop"),
+                dict(trace_every=0), dict(u_max=0.0),
+                dict(batch_trials=0), dict(batch_times=-3), dict(window=1),
                 dict(hop=0), dict(density="huber", eta_a=1.0),
                 dict(lam=np.nan), dict(lam=np.inf), dict(mu=np.nan),
                 dict(mu=np.inf), dict(init_scale=np.nan),
                 dict(init_scale=np.inf), dict(init_scale=-np.inf),
-                dict(log_eps=np.nan), dict(log_eps=np.inf),
-                dict(eta_p=np.inf), dict(eta_p=np.nan), dict(eps=np.inf),
-                dict(eps=np.nan), dict(eta_u=np.nan), dict(eta_a=np.nan),
+                dict(eta_p=np.inf), dict(eta_p=np.nan),
+                dict(eta_u=np.nan), dict(eta_a=np.nan),
                 dict(u_max=np.nan)]:
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     SolverConfig(eta_u=np.inf, iterations=0)         # both explicitly legal
     SolverConfig(eta_a=np.inf, u_max=np.inf)         # exact aux, no clamp
     SolverConfig(density="huber")                    # exact aux by default
-    fm = SolverConfig(window=32, hop=4, log_power=True,
-                      log_eps=1e-5).feature_config
-    assert (fm.window, fm.hop, fm.log_power, fm.log_eps) == \
-        (32, 4, True, 1e-5)
+    fm = SolverConfig(window=32, hop=4, log_power=True).feature_config
+    assert (fm.window, fm.hop, fm.log_power) == (32, 4, True)
 
 
 # --- step-size guards ---
@@ -192,8 +187,8 @@ def test_stochastic_fit_matches_reference_loop(eta_a):
     state = _draw_invertible_init(rng, c_dim, cfg.init_scale)
     models = [init_model(s, FM16L.dim(t_all), rng, cfg.init_scale)
               for s in ds.targets]
-    opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta, cfg.beta1,
-                           cfg.beta2, cfg.eps) for m in models]
+    opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta)
+            for m in models]
     aux = aux_exact(np.matmul(state.w, z), density, cfg.u_max)
     aux_t, z_t = aux.transpose(1, 0, 2), z.transpose(1, 0, 2)
 
@@ -277,8 +272,8 @@ def test_full_batch_fit_matches_reference_loop(eta_a):
     state = _draw_invertible_init(rng, c_dim, cfg.init_scale)
     models = [init_model(s, FM16L.dim(t_all), rng, cfg.init_scale)
               for s in ds.targets]
-    opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta, cfg.beta1,
-                           cfg.beta2, cfg.eps) for m in models]
+    opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta)
+            for m in models]
     batch = np.ascontiguousarray(z.transpose(1, 0, 2))        # (C, N, T)
 
     def fresh_sources():
@@ -347,11 +342,10 @@ def test_every_config_field_changes_the_fit():
                 batch_trials=3, batch_times=32, window=16, hop=8,
                 log_power=True, u_max=2.0, seed=5)
     changed = dict(iterations=2, eta_u=0.1, eta_p=2e-3, eta_a=0.25,
-                   lam=2e-3, mu=0.2, density="huber",
-                   optimizer="sgd_wd", beta1=0.8, beta2=0.99, eps=1e-4,
+                   lam=2e-3, mu=0.2, density="huber", optimizer="sgd_wd",
                    batch_trials=4, batch_times=48, seed=6, trace_every=2,
-                   window=8, hop=4, log_power=False, log_eps=1e-3,
-                   u_max=3.0, init_scale=0.02)
+                   window=8, hop=4, log_power=False, u_max=3.0,
+                   init_scale=0.02)
     assert set(changed) == {f.name for f in fields(SolverConfig)}
 
     def outcome(cfg):
@@ -371,6 +365,33 @@ def test_every_config_field_changes_the_fit():
         if outcome(cfg) == want:
             dead.append(name)
     assert dead == []
+
+
+def test_retired_settings_are_not_fields():
+    # the AdamW constants and the log floor are fixed in supervision
+    for name in ("beta1", "beta2", "eps", "log_eps"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: 0.5})
+    assert len(fields(SolverConfig)) == 17
+
+
+def test_u_max_inf_rejects_a_sample_zero_in_every_channel():
+    # W z = 0 there for every W: the exact Laplace weight is infinite
+    z = np.random.default_rng(4).laplace(size=(4, 3, 64))
+    z[1, :, 10] = 0.0
+    ds = Dataset(z, np.zeros((4, 0)), ())
+    for batch in (dict(), dict(batch_trials=2, batch_times=16)):
+        cfg = SolverConfig(iterations=2, u_max=np.inf, **batch)
+        with pytest.raises(ValueError, match="trial 1 .* time 10"):
+            fit_stochastic(ds, cfg)
+    # the clamp keeps the weight finite, and Huber's weight at 0 is 1
+    for cfg in (SolverConfig(iterations=2),
+                SolverConfig(iterations=2, u_max=np.inf, density="huber")):
+        res = fit_stochastic(ds, cfg)
+        assert all(np.isfinite(r.loss_unsup) for r in res.trace.records)
+    z[1, 0, 10] = 1e-3                   # one nonzero channel is enough
+    fit_stochastic(Dataset(z, np.zeros((4, 0)), ()),
+                   SolverConfig(iterations=2, u_max=np.inf))
 
 
 def test_minibatch_larger_than_dataset_rejected():

@@ -29,7 +29,7 @@ def naive_feature_map(s, cfg):
             re = sum(seg[t] * np.cos(-2 * np.pi * k * t / w) for t in range(w))
             im = sum(seg[t] * np.sin(-2 * np.pi * k * t / w) for t in range(w))
             p = re * re + im * im
-            out.append(np.log(p + cfg.log_eps) if cfg.log_power else p)
+            out.append(np.log(p + 1e-6) if cfg.log_power else p)
     return np.array(out)
 
 
@@ -56,7 +56,7 @@ def test_feature_map_constant_signal():
 def test_feature_map_zero_signal():
     cfg = FeatureMapConfig(window=8, hop=4)
     assert np.allclose(feature_map_batch(np.zeros((1, 16)), cfg), 0.0)
-    logcfg = FeatureMapConfig(window=8, hop=4, log_power=True, log_eps=1e-6)
+    logcfg = FeatureMapConfig(window=8, hop=4, log_power=True)
     assert np.allclose(feature_map_batch(np.zeros((1, 16)), logcfg),
                        np.log(1e-6))
 
@@ -282,7 +282,7 @@ def test_adamw_first_step_is_unit_preconditioned():
 def test_adamw_matches_reference_loop():
     b1, b2, eps, eta = 0.9, 0.999, 1e-8, 0.01
     rng = np.random.default_rng(10)
-    opt = make_optimizer("adamw", eta, np.zeros(4), b1, b2, eps)
+    opt = make_optimizer("adamw", eta, np.zeros(4))
     theta = rng.normal(size=4)
     ref_theta = theta.copy()
     m = np.zeros(4)
@@ -301,6 +301,15 @@ def test_adamw_matches_reference_loop():
 def test_make_optimizer_rejects_unknown_rule():
     with pytest.raises(ValueError):
         make_optimizer("rmsprop", 0.1, np.zeros(1))
+
+
+def test_retired_settings_are_not_parameters():
+    with pytest.raises(TypeError):
+        FeatureMapConfig(window=8, hop=4, log_power=True, log_eps=1e-6)
+    with pytest.raises(TypeError):
+        make_optimizer("adamw", 0.1, np.zeros(1), 0.9, 0.999, 1e-8)
+    with pytest.raises(TypeError):
+        make_optimizer("adamw", 0.1, np.zeros(1), beta1=0.9)
 
 
 # --- smoothness constants ---

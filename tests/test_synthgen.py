@@ -158,6 +158,13 @@ def test_gen_dataset_feature_config_reaches_labels():
     assert not np.array_equal(raw.labels, logf.labels)
 
 
+def test_gen_dataset_rejects_kappa_with_gaussian_mixing():
+    # kappa would not reach the data, only the generator echo
+    with pytest.raises(ValueError, match="kappa"):
+        gen_dataset("multi_trial", 0, n_trials=2, channels=2, samples=8,
+                    kappa=3.0)
+
+
 def test_gen_dataset_validation():
     with pytest.raises(ValueError):
         gen_dataset("bootstrap", 0)
