@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .data import (Dataset, DatasetFormatError, TargetSchema,
                    concat_trials, load_dataset, preprocess, save_dataset)
-from .likelihood import (DENSITIES, SuperGaussianDensity, aux_exact,
-                         aux_proximal, get_density)
+from .likelihood import aux_exact, aux_proximal
 from .metrics import (FobiResult, TargetMetric, amari_distance,
                       evaluate_predictions, fobi, success_rate, whiten)
 from .solver import (FitResult, RateGuards, SolverAbort, SolverConfig, Trace,

@@ -56,10 +56,11 @@ _FIELD_TYPES = typing.get_type_hints(SolverConfig)
 _KEY_TO_FIELD = {("lambda" if f == "lam" else f): f for f in _FIELD_TYPES}
 # run-level switches, read by both fit and eval --run
 _RUN_KEYS = ("preprocess_center", "preprocess_rescale")
-# retired keys whose old default is now a constant of mtsica.supervision;
-# a file may repeat that value, and no other
+# retired keys whose old default is now a constant (the AdamW and log-power
+# constants of mtsica.supervision, the Laplace likelihood); a file may
+# repeat that value, and no other
 _FIXED_KEYS = {"beta1": _BETA1, "beta2": _BETA2, "eps": _ADAM_EPS,
-               "log_eps": _LOG_EPS}
+               "log_eps": _LOG_EPS, "density": "laplace"}
 # keys of removed options that older config.resolved files carry; each is
 # still checked against its old type, then ignored, except where its value
 # changed the fit (see parse_config_file)
@@ -69,7 +70,7 @@ _RETIRED_KEYS = {
     "update_order": Literal["theta_first", "aux_first"],
     "stochastic": bool,
     "aux_mode": Literal["exact", "proximal"],
-    **dict.fromkeys(_FIXED_KEYS, float),
+    **{key: type(value) for key, value in _FIXED_KEYS.items()},
 }
 _KEY_TYPES = {**{k: _FIELD_TYPES[f] for k, f in _KEY_TO_FIELD.items()},
               **dict.fromkeys(_RUN_KEYS, bool), **_RETIRED_KEYS}
@@ -195,6 +196,12 @@ def cmd_gen(args) -> int:
         fm_kwargs["hop"] = args.hop
     if args.log_power:
         fm_kwargs["log_power"] = True
+    n_targets = (RECIPES[args.recipe]["n_targets"] if args.targets is None
+                 else args.targets)
+    if fm_kwargs and not n_targets:  # the features reach the labels only
+        flags = ", ".join("--" + k.replace("_", "-") for k in fm_kwargs)
+        raise CliError(f"{flags} set the label features, but the dataset "
+                       f"has no targets")
     try:
         fm_cfg = FeatureMapConfig(**fm_kwargs) if fm_kwargs else None
         dataset, mixing = gen_dataset(args.recipe, args.seed,

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import supervision
 from .data import Dataset
-from .likelihood import (aux_exact, aux_proximal, get_density,
+from .likelihood import (DEFAULT_U_MAX, aux_exact, aux_proximal,
                          variational_value)
 from .linalg import spectral_norm
 from .metrics import amari_distance
@@ -85,9 +85,8 @@ class SolverConfig:
     ``batch_trials``/``batch_times`` of ``None`` mean the full dataset.
     ``eta_u``, ``eta_a`` and ``u_max`` may be ``inf`` (no proximal tie on
     W, the exact aux step, no clamp); a finite ``eta_a`` is the proximal
-    aux step, which needs a closed-form f.  Construction rejects every
-    value that is invalid on its own; :func:`check_inputs` rejects those
-    that do not fit a dataset.
+    aux step.  Construction rejects every value that is invalid on its
+    own; :func:`check_inputs` rejects those that do not fit a dataset.
     """
 
     iterations: int = 1000
@@ -96,7 +95,6 @@ class SolverConfig:
     eta_a: float = np.inf
     lam: float = 0.0
     mu: float = 0.0
-    density: str = "laplace"
     optimizer: str = "sgd_wd"
     batch_trials: Optional[int] = None
     batch_times: Optional[int] = None
@@ -105,7 +103,7 @@ class SolverConfig:
     window: int = 64
     hop: int = 32
     log_power: bool = False
-    u_max: float = 1e8
+    u_max: float = DEFAULT_U_MAX
     init_scale: float = 0.01
 
     def __post_init__(self):
@@ -121,11 +119,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
         if not np.isfinite(self.init_scale):
             raise ValueError("init_scale must be finite")
-        density = get_density(self.density)
-        if self.eta_a < np.inf and not density.has_f:
-            raise ValueError(f"a finite eta_a (the proximal aux step) needs "
-                             f"a closed-form f; density {self.density!r} "
-                             f"has none")
         if self.optimizer not in ("sgd_wd", "adamw"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.trace_every < 1:
@@ -200,7 +193,7 @@ class TraceRecord:
     k: int
     loss_unsup: float
     loss_sup: float
-    f_value: Optional[float]
+    f_value: float
     amari: Optional[float]
     wall_ms: float
 
@@ -211,9 +204,9 @@ class Trace:
 
     The CSV carries optional ``#`` comment lines (callers embed the
     resolved configuration there), then the fixed header
-    ``k,loss_unsup,loss_sup,F,amari,wall_ms``.  Unavailable values (F for
-    densities without a closed-form penalty, Amari without ground truth,
-    wall time when timing is suppressed) serialize as empty fields.
+    ``k,loss_unsup,loss_sup,F,amari,wall_ms``.  Unavailable values (Amari
+    without ground truth, wall time when timing is suppressed) serialize
+    as empty fields.
     """
 
     records: list = field(default_factory=list)
@@ -293,24 +286,31 @@ def check_inputs(dataset: Dataset, config: SolverConfig,
 
     Returns the (trials, times) minibatch sizes of one iteration; raises
     ``ValueError`` when a window, a minibatch or the ground truth does
-    not fit the dataset, or when ``u_max = inf`` meets a sample that is
-    zero in every channel.  Fitting runs this before iteration 1.
+    not fit the dataset, when the ground truth is not finite and
+    nonsingular (the precondition of :func:`amari_distance`), or when
+    ``u_max = inf`` meets a sample that is zero in every channel.
+    Fitting runs this before iteration 1.
     """
     n_trials, channels, samples = dataset.signals.shape
     if dataset.n_targets:
         config.feature_config.dim(samples)  # raises when window > T
-    if config.u_max == np.inf and np.isinf(
-            aux_exact(np.zeros(1), get_density(config.density), np.inf)[0]):
-        # W z = 0 there for every W, so the exact weight is infinite
+    if config.u_max == np.inf:
+        # W z = 0 there for every W, so the exact weight 1/|x| is infinite
         zero = np.argwhere(~np.any(dataset.signals, axis=1))
         if zero.size:
             i, t = zero[0]
             raise ValueError(
                 f"u_max = inf needs a nonzero channel at every sample, but "
                 f"trial {i} is zero in every channel at time {t}")
-    if ground_truth is not None and \
-            np.shape(ground_truth) != (channels, channels):
-        raise ValueError("ground-truth mixing shape mismatch")
+    if ground_truth is not None:
+        if np.shape(ground_truth) != (channels, channels):
+            raise ValueError("ground-truth mixing shape mismatch")
+        if not np.all(np.isfinite(ground_truth)):
+            raise ValueError("ground-truth mixing has non-finite entries")
+        rank = np.linalg.matrix_rank(ground_truth)
+        if rank < channels:
+            raise ValueError(f"ground-truth mixing is singular (rank {rank} "
+                             f"of {channels})")
     batch_n = config.batch_trials or n_trials
     batch_tau = config.batch_times or samples
     if batch_n > n_trials or batch_tau > samples:
@@ -326,7 +326,6 @@ def _fit(dataset, config, ground_truth, iter_hook=None) -> FitResult:
     stochastic = (batch_n, batch_tau) != (n_trials, samples)
     labels = dataset.labels
     n_targets = dataset.n_targets
-    density = get_density(config.density)
     fm_cfg = config.feature_config
     if n_targets:
         feature_dim = fm_cfg.dim(samples)
@@ -360,18 +359,18 @@ def _fit(dataset, config, ground_truth, iter_hook=None) -> FitResult:
         xs = state.w @ batch.reshape(channels, -1)
         x_all = xs.reshape(batch.shape)
     # the initial exact pass, one call over the whole store
-    aux_exact(aux if stochastic else x_all, density, config.u_max, out=aux)
+    aux_exact(aux if stochastic else x_all, config.u_max, out=aux)
     aux_view = aux.transpose(1, 0, 2)    # (N, C, T), for the hook
 
     def record(k):
         trace.records.append(_snapshot(
-            k, state, models, z, x_all, aux, labels, density, fm_cfg,
-            config, ground_truth, t_start))
+            k, state, models, z, x_all, aux, labels, fm_cfg, config,
+            ground_truth, t_start))
 
-    record(0)
-    if iter_hook is not None:
-        iter_hook(0, state, models, aux_view)
     try:
+        record(0)
+        if iter_hook is not None:
+            iter_hook(0, state, models, aux_view)
         for k in range(1, config.iterations + 1):
             if stochastic:
                 trials_k = rng.subset(n_trials, batch_n)
@@ -411,11 +410,11 @@ def _fit(dataset, config, ground_truth, iter_hook=None) -> FitResult:
                  else xs)
             if config.eta_a == np.inf:
                 # a full batch refreshes the whole store in place
-                aux_k = aux_exact(x, density, config.u_max,
+                aux_k = aux_exact(x, config.u_max,
                                   out=None if stochastic else aux_flat)
             else:
                 aux_k = aux_proximal(x, aux_flat[:, cols], config.eta_a,
-                                     density, config.u_max)
+                                     config.u_max)
             del x
             if aux_k is not aux_flat:
                 aux_flat[:, cols] = aux_k
@@ -456,8 +455,8 @@ def _trial_blocks(n_trials, samples):
     return [(lo, min(lo + step, n_trials)) for lo in range(0, n_trials, step)]
 
 
-def _snapshot(k, state, models, z, x_all, aux, labels, density, fm_cfg,
-              config, ground_truth, t_start) -> TraceRecord:
+def _snapshot(k, state, models, z, x_all, aux, labels, fm_cfg, config,
+              ground_truth, t_start) -> TraceRecord:
     """Full-dataset objective values at the current W and theta.
 
     ``z`` is the (N, C, T) data, ``aux`` the (C, N, T) store and ``x_all``
@@ -467,6 +466,8 @@ def _snapshot(k, state, models, z, x_all, aux, labels, density, fm_cfg,
     at the end; then, one component at a time, g(x) and the bound fill
     scratch of one block's size and each sum is added to a running total,
     blocks in trial order and components in index order within a block.
+    A ``W @ ground_truth`` that :func:`amari_distance` cannot score (it
+    overflowed) raises :class:`FactorizationError`.
     """
     n, channels, t = z.shape
     blocks = _trial_blocks(n, t)
@@ -482,24 +483,23 @@ def _snapshot(k, state, models, z, x_all, aux, labels, density, fm_cfg,
                 need_grad_theta=False)[0]
         g_x, bound, f_u = scratch[:, :hi - lo]
         for c in range(channels):
-            g_sum += density.g(x[c], out=g_x).sum()
-            if density.has_f:
-                bound_sum += variational_value(
-                    x[c], aux[c, lo:hi], density, out=bound,
-                    scratch=f_u).sum()
+            g_sum += np.abs(x[c], out=g_x).sum()
+            bound_sum += variational_value(
+                x[c], aux[c, lo:hi], out=bound, scratch=f_u).sum()
         del x  # one block of sources alive at a time
     loss_sup = 0.0
     for losses in head_losses:
         loss_sup += float(losses.sum() / n)
     loss_unsup = float(-state.logabsdet + g_sum / (n * t))
-    if density.has_f:
-        f_value = float(-state.logabsdet + bound_sum / (n * t)
-                        + config.lam * loss_sup
-                        + 0.5 * config.mu * sum(
-                            float(np.sum(m.theta ** 2)) for m in models))
-    else:
-        f_value = None
-    amari = (float(amari_distance(state.w, ground_truth))
-             if ground_truth is not None else None)
+    f_value = float(-state.logabsdet + bound_sum / (n * t)
+                    + config.lam * loss_sup
+                    + 0.5 * config.mu * sum(
+                        float(np.sum(m.theta ** 2)) for m in models))
+    amari = None
+    if ground_truth is not None:
+        try:
+            amari = float(amari_distance(state.w, ground_truth))
+        except ValueError as e:
+            raise FactorizationError(f"{e} at iteration {k}") from e
     wall_ms = (time.perf_counter() - t_start) * 1000.0
     return TraceRecord(k, loss_unsup, loss_sup, f_value, amari, wall_ms)

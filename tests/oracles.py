@@ -46,16 +46,16 @@ def per_iteration_objective(w, w_anchor, a_of, b_mat, eta_u, lam):
     return value
 
 
-# derivative g'(x) of each density's penalty, by density name (away from
-# the kinks at 0 for laplace and +-1 for huber)
-G_PRIME = {"laplace": np.sign, "huber": lambda x: np.clip(x, -1.0, 1.0)}
+# derivative g'(x) of the Laplace penalty g(x) = |x| (away from the kink
+# at 0)
+G_PRIME = np.sign
 
 
-def unsup_loss(logabsdet, sources, density):
-    """Per-trial unsupervised loss -log|det W| + (1/T) sum g(x) of the
+def unsup_loss(logabsdet, sources):
+    """Per-trial unsupervised loss -log|det W| + (1/T) sum |x| of the
     sources x = W z, shape (C, T), of one trial."""
     t = sources.shape[-1]
-    return float(-logabsdet + density.g(sources).sum() / t)
+    return float(-logabsdet + np.abs(sources).sum() / t)
 
 
 def subset_full_list(rng, n_total, n_draw):

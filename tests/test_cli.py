@@ -17,7 +17,7 @@ from mtsica import cli
 from mtsica.cli import main, parse_config_file
 from mtsica.data import (Dataset, load_dataset, read_matrix_f64,
                          save_dataset, write_matrix_f64)
-from mtsica.solver import SolverConfig
+from mtsica.solver import SolverConfig, Trace
 
 GEN_TINY = ["gen", "--recipe", "multi_trial", "--seed", "0",
             "--trials", "3", "--channels", "2", "--samples", "32"]
@@ -116,6 +116,19 @@ def test_gen_kappa_needs_hilbert_mixing(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_gen_feature_flags_need_targets(tmp_path, capsys):
+    # with no targets the label features reach nothing but the manifest
+    for i, argv in enumerate([
+            GEN_TINY + ["--window", "8", "--hop", "4", "--log-power"],
+            ["gen", "--recipe", "supervision", "--seed", "0", "--trials",
+             "2", "--channels", "2", "--samples", "32", "--targets", "0",
+             "--window", "8"]]):
+        out = tmp_path / f"x{i}"
+        assert run(argv + ["--out", out]) == 2, argv
+        assert "no targets" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_gen_out_on_an_existing_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep", encoding="utf-8")
@@ -148,6 +161,8 @@ def test_fit_outputs_and_byte_determinism(tmp_path, capsys):
 
 
 def test_fit_resolved_config_round_trips(tmp_path):
+    # a run's config.resolved refits it and eval --run scores it, with
+    # each preprocessing switch
     d = tmp_path / "ds"
     gen_tiny(d)
     cfg = write_cfg(tmp_path / "cfg", ["iterations=2", "lambda=0.25",
@@ -172,27 +187,31 @@ def test_fit_resolved_config_round_trips(tmp_path):
 
     sup = tmp_path / "sup"
     gen_sup(sup)
-    new_run, old_run = tmp_path / "new_run", tmp_path / "old_run"
-    assert run(["fit", "--data", sup, "--config",
-                write_cfg(tmp_path / "sup_cfg", SUP_CFG), "--center",
-                "--out", new_run]) == 0
-    shutil.copytree(new_run, old_run)
-    write_cfg(old_run / "config.resolved",
-              (new_run / "config.resolved").read_text().splitlines()
-              + retired)
-    refit = tmp_path / "refit"
-    assert run(["fit", "--data", sup, "--config",
-                old_run / "config.resolved", "--out", refit]) == 0
-    for name in ("W.f64", "theta_0.f64"):
-        assert filecmp.cmp(new_run / name, refit / name, shallow=False)
-    scores = []
-    for rund in (new_run, old_run):
-        csv = rund / "holdout.csv"
-        assert run(["eval", "--run", rund, "--data", sup, "--holdout",
-                    "0.5", "--out", csv]) == 0
-        scores.append([line for line in csv.read_text().splitlines()
-                       if not line.startswith("# run=")])
-    assert scores[0] == scores[1]
+    for flag in ("--center", "--rescale"):
+        new_run, old_run, refit = (tmp_path / f"{name}{flag}" for name in
+                                   ("new_run", "old_run", "refit"))
+        assert run(["fit", "--data", sup, "--config",
+                    write_cfg(tmp_path / "sup_cfg", SUP_CFG), flag,
+                    "--out", new_run]) == 0
+        switch = "preprocess_" + flag[2:]
+        assert f"{switch}=true" in \
+            (new_run / "config.resolved").read_text().split()
+        shutil.copytree(new_run, old_run)
+        write_cfg(old_run / "config.resolved",
+                  (new_run / "config.resolved").read_text().splitlines()
+                  + retired)
+        assert run(["fit", "--data", sup, "--config",
+                    old_run / "config.resolved", "--out", refit]) == 0
+        for name in ("W.f64", "theta_0.f64"):
+            assert filecmp.cmp(new_run / name, refit / name, shallow=False)
+        scores = []
+        for rund in (new_run, old_run):
+            csv = rund / "holdout.csv"
+            assert run(["eval", "--run", rund, "--data", sup, "--holdout",
+                        "0.5", "--out", csv]) == 0
+            scores.append([line for line in csv.read_text().splitlines()
+                           if not line.startswith("# run=")])
+        assert scores[0] == scores[1]
     bad_order = write_cfg(tmp_path / "u", ["update_order=w_first"])
     assert run(["fit", "--data", d, "--config", bad_order,
                 "--out", tmp_path / "o"]) == 2
@@ -368,11 +387,13 @@ def test_fit_eta_a_picks_the_aux_step(tmp_path, capsys):
     assert run(["fit", "--data", tiny, "--config",
                 write_cfg(tmp_path / "huber.cfg",
                           ["iterations=2", "density=huber"]),
-                "--out", tmp_path / "huber"]) == 0
+                "--out", tmp_path / "huber"]) == 2
+    assert "density is fixed at 'laplace', got 'huber'" in \
+        capsys.readouterr().err
 
 
 def test_fit_fixed_keys_accept_only_their_old_defaults(tmp_path, capsys):
-    # beta1, beta2, eps and log_eps are constants now; an older
+    # beta1, beta2, eps, log_eps and density are constants now; an older
     # config.resolved pins their defaults as written by %.17g and still
     # reproduces its run, and eval --run still scores its run directory
     d = tmp_path / "ds"
@@ -380,7 +401,7 @@ def test_fit_fixed_keys_accept_only_their_old_defaults(tmp_path, capsys):
     base = SUP_CFG + ["optimizer=adamw", "mu=0.1", "batch_trials=2",
                       "batch_times=16"]
     old_keys = ["beta1=0.90000000000000002", "beta2=0.999", "eps=1e-08",
-                "log_eps=9.9999999999999995e-07"]
+                "log_eps=9.9999999999999995e-07", "density=laplace"]
     runs = {}
     for name, extra in [("new", []), ("old", old_keys)]:
         runs[name] = tmp_path / name
@@ -404,7 +425,8 @@ def test_fit_fixed_keys_accept_only_their_old_defaults(tmp_path, capsys):
     assert scores[0] == scores[1]
     capsys.readouterr()
     for i, line in enumerate(["beta1=0.8", "beta2=0.99", "eps=1e-4",
-                              "log_eps=1e-3", "eps=nan", "beta1=none"]):
+                              "log_eps=1e-3", "eps=nan", "beta1=none",
+                              "density=huber"]):
         assert run(["fit", "--data", d, "--config",
                     write_cfg(tmp_path / f"bad{i}.cfg", base + [line]),
                     "--out", tmp_path / f"bad{i}"]) == 2, line
@@ -489,6 +511,45 @@ def test_fit_numerical_abort_flushes_partial_outputs(tmp_path, capsys):
     assert (out / "trace.csv").is_file()
     assert "status=aborted" in (out / "run.txt").read_text()
     assert np.isfinite(read_matrix_f64(out / "W.f64")).all()
+
+
+def gen_three_channels(path):
+    assert run(["gen", "--recipe", "multi_trial", "--seed", 0, "--out", path,
+                "--trials", "4", "--channels", "3", "--samples", "64"]) == 0
+
+
+def test_fit_rejects_a_nonfinite_or_singular_ground_truth(tmp_path, capsys):
+    # the Amari distance needs a finite, nonsingular mixing
+    d = tmp_path / "ds"
+    gen_three_channels(d)
+    for name, mixing, why in [
+            ("zero", np.zeros((3, 3)), "singular (rank 0 of 3)"),
+            ("nan", np.full((3, 3), np.nan), "non-finite"),
+            ("rank1", np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
+             "singular (rank 1 of 3)")]:
+        write_matrix_f64(tmp_path / f"{name}.f64", mixing)
+        out = tmp_path / f"run_{name}"
+        assert run(["fit", "--data", d, "--ground-truth",
+                    tmp_path / f"{name}.f64", "--out", out]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and why in err
+        assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_overflow_at_the_first_snapshot_exits_3(tmp_path, capsys):
+    # W0 overflows W @ A before iteration 1: an abort, not a traceback
+    d = tmp_path / "ds"
+    gen_three_channels(d)
+    out = tmp_path / "run"
+    assert run(["fit", "--data", d, "--config",
+                write_cfg(tmp_path / "cfg", ["init_scale=1e308"]),
+                "--out", out]) == 3
+    assert "abort" in capsys.readouterr().err
+    text = (out / "run.txt").read_text()
+    assert "status=aborted" in text
+    assert "non-finite entries in W @ A at iteration 0" in text
+    assert (out / "trace.csv").read_text().splitlines()[-1] == Trace.HEADER
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -11,7 +11,7 @@ import pytest
 
 from mtsica import solver
 from mtsica.data import Dataset, TargetSchema
-from mtsica.likelihood import aux_exact, aux_proximal, get_density
+from mtsica.likelihood import aux_exact, aux_proximal
 from mtsica.metrics import amari_distance
 from mtsica.prng import Xoshiro256pp
 from mtsica.solver import (SolverAbort, SolverConfig, Trace,
@@ -53,10 +53,10 @@ def sup_config(**kw):
 def test_config_validation():
     for bad in [dict(iterations=-1), dict(eta_u=0.0), dict(eta_p=-1.0),
                 dict(eta_a=0.0), dict(lam=-0.1), dict(mu=-0.1),
-                dict(density="cauchy"), dict(optimizer="rmsprop"),
+                dict(optimizer="rmsprop"),
                 dict(trace_every=0), dict(u_max=0.0),
                 dict(batch_trials=0), dict(batch_times=-3), dict(window=1),
-                dict(hop=0), dict(density="huber", eta_a=1.0),
+                dict(hop=0),
                 dict(lam=np.nan), dict(lam=np.inf), dict(mu=np.nan),
                 dict(mu=np.inf), dict(init_scale=np.nan),
                 dict(init_scale=np.inf), dict(init_scale=-np.inf),
@@ -67,7 +67,6 @@ def test_config_validation():
             SolverConfig(**bad)
     SolverConfig(eta_u=np.inf, iterations=0)         # both explicitly legal
     SolverConfig(eta_a=np.inf, u_max=np.inf)         # exact aux, no clamp
-    SolverConfig(density="huber")                    # exact aux by default
     fm = SolverConfig(window=32, hop=4, log_power=True).feature_config
     assert (fm.window, fm.hop, fm.log_power) == (32, 4, True)
 
@@ -182,14 +181,13 @@ def test_stochastic_fit_matches_reference_loop(eta_a):
 
     z, labels = ds.signals, ds.labels
     n_all, c_dim, t_all = z.shape
-    density = get_density(cfg.density)
     rng = Xoshiro256pp(cfg.seed)
     state = _draw_invertible_init(rng, c_dim, cfg.init_scale)
     models = [init_model(s, FM16L.dim(t_all), rng, cfg.init_scale)
               for s in ds.targets]
     opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta)
             for m in models]
-    aux = aux_exact(np.matmul(state.w, z), density, cfg.u_max)
+    aux = aux_exact(np.matmul(state.w, z), cfg.u_max)
     aux_t, z_t = aux.transpose(1, 0, 2), z.transpose(1, 0, 2)
 
     def snapshot(k):
@@ -200,12 +198,12 @@ def test_stochastic_fit_matches_reference_loop(eta_a):
                                             FM16L, need_grad_s=False,
                                             need_grad_theta=False)
             loss_sup += float(losses.sum() / n_all)
-        bound = 0.5 * aux * x * x + density.f(aux)
+        bound = 0.5 * aux * x * x + 0.5 / aux
         f_value = float(-state.logabsdet + bound.sum() / (n_all * t_all)
                         + cfg.lam * loss_sup + 0.5 * cfg.mu * sum(
                             float(np.sum(m.theta ** 2)) for m in models))
         loss_unsup = float(-state.logabsdet
-                           + density.g(x).sum() / (n_all * t_all))
+                           + np.abs(x).sum() / (n_all * t_all))
         return (k, loss_unsup, loss_sup, f_value,
                 float(amari_distance(state.w, mixing)))
 
@@ -224,10 +222,10 @@ def test_stochastic_fit_matches_reference_loop(eta_a):
         batch = z_t[ix]                              # (C, n, tau)
         x = state.w @ batch.reshape(c_dim, -1)
         if eta_a == np.inf:
-            u_batch = aux_exact(x, density, cfg.u_max)
+            u_batch = aux_exact(x, cfg.u_max)
         else:
             u_batch = aux_proximal(x, aux_t[ix].reshape(c_dim, -1),
-                                   cfg.eta_a, density, cfg.u_max)
+                                   cfg.eta_a, cfg.u_max)
         aux_t[ix] = u_batch.reshape(batch.shape)
         grads = [batch_loss_grads(model, sources[m], labels[trials, m],
                                   FM16L, need_grad_theta=False)[1]
@@ -267,7 +265,6 @@ def test_full_batch_fit_matches_reference_loop(eta_a):
 
     z, labels = ds.signals, ds.labels
     n_all, c_dim, t_all = z.shape
-    density = get_density(cfg.density)
     rng = Xoshiro256pp(cfg.seed)
     state = _draw_invertible_init(rng, c_dim, cfg.init_scale)
     models = [init_model(s, FM16L.dim(t_all), rng, cfg.init_scale)
@@ -288,16 +285,16 @@ def test_full_batch_fit_matches_reference_loop(eta_a):
                                         FM16L, need_grad_s=False,
                                         need_grad_theta=False)
         loss_sup = float(losses.sum() / n_all)
-        bound = 0.5 * u * x * x + density.f(u)
+        bound = 0.5 * u * x * x + 0.5 / u
         f_value = float(-state.logabsdet + bound.sum() / (n_all * t_all)
                         + cfg.lam * loss_sup
                         + 0.5 * cfg.mu * float(np.sum(models[0].theta ** 2)))
         loss_unsup = float(-state.logabsdet
-                           + density.g(x).sum() / (n_all * t_all))
+                           + np.abs(x).sum() / (n_all * t_all))
         return (k, loss_unsup, loss_sup, f_value,
                 float(amari_distance(state.w, mixing)))
 
-    aux = aux_exact(fresh_sources(), density, cfg.u_max)       # (C, N*T)
+    aux = aux_exact(fresh_sources(), cfg.u_max)       # (C, N*T)
     want_aux = {0: as_nct(aux).copy()}
     want = [snapshot(0, as_nct(aux))]
     for k in range(1, cfg.iterations + 1):
@@ -308,9 +305,9 @@ def test_full_batch_fit_matches_reference_loop(eta_a):
                                          cfg.mu)
         x = fresh_sources()
         if eta_a == np.inf:
-            aux = aux_exact(x, density, cfg.u_max)
+            aux = aux_exact(x, cfg.u_max)
         else:
-            aux = aux_proximal(x, aux, cfg.eta_a, density, cfg.u_max)
+            aux = aux_proximal(x, aux, cfg.eta_a, cfg.u_max)
         grad_s = batch_loss_grads(models[0], head_sources, labels[:, 0],
                                   FM16L, need_grad_theta=False)[1]
         b_mat = compute_B([grad_s], batch, slice(None))
@@ -342,7 +339,7 @@ def test_every_config_field_changes_the_fit():
                 batch_trials=3, batch_times=32, window=16, hop=8,
                 log_power=True, u_max=2.0, seed=5)
     changed = dict(iterations=2, eta_u=0.1, eta_p=2e-3, eta_a=0.25,
-                   lam=2e-3, mu=0.2, density="huber", optimizer="sgd_wd",
+                   lam=2e-3, mu=0.2, optimizer="sgd_wd",
                    batch_trials=4, batch_times=48, seed=6, trace_every=2,
                    window=8, hop=4, log_power=False, u_max=3.0,
                    init_scale=0.02)
@@ -368,11 +365,12 @@ def test_every_config_field_changes_the_fit():
 
 
 def test_retired_settings_are_not_fields():
-    # the AdamW constants and the log floor are fixed in supervision
-    for name in ("beta1", "beta2", "eps", "log_eps"):
+    # the AdamW constants and the log floor are fixed in supervision, the
+    # source density is the Laplace likelihood
+    for name in ("beta1", "beta2", "eps", "log_eps", "density"):
         with pytest.raises(TypeError):
             SolverConfig(**{name: 0.5})
-    assert len(fields(SolverConfig)) == 17
+    assert len(fields(SolverConfig)) == 16
 
 
 def test_u_max_inf_rejects_a_sample_zero_in_every_channel():
@@ -384,11 +382,9 @@ def test_u_max_inf_rejects_a_sample_zero_in_every_channel():
         cfg = SolverConfig(iterations=2, u_max=np.inf, **batch)
         with pytest.raises(ValueError, match="trial 1 .* time 10"):
             fit_stochastic(ds, cfg)
-    # the clamp keeps the weight finite, and Huber's weight at 0 is 1
-    for cfg in (SolverConfig(iterations=2),
-                SolverConfig(iterations=2, u_max=np.inf, density="huber")):
-        res = fit_stochastic(ds, cfg)
-        assert all(np.isfinite(r.loss_unsup) for r in res.trace.records)
+    # the clamp keeps the weight finite
+    res = fit_stochastic(ds, SolverConfig(iterations=2))
+    assert all(np.isfinite(r.loss_unsup) for r in res.trace.records)
     z[1, 0, 10] = 1e-3                   # one nonzero channel is enough
     fit_stochastic(Dataset(z, np.zeros((4, 0)), ()),
                    SolverConfig(iterations=2, u_max=np.inf))
@@ -462,16 +458,6 @@ def test_objective_snapshot_matches_independent_assembly():
         assert rec.f_value == pytest.approx(val, rel=1e-10)
 
 
-def test_huber_has_no_closed_objective():
-    ds, _ = small_unsup()
-    res = fit_full_batch(ds, SolverConfig(iterations=3, density="huber"))
-    assert all(r.f_value is None for r in res.trace.records)
-    assert all(np.isfinite(r.loss_unsup) for r in res.trace.records)
-    with pytest.raises(ValueError):
-        fit_full_batch(ds, SolverConfig(iterations=1, density="huber",
-                                        eta_a=1.0))
-
-
 def test_proximal_iterates_settle(tmp_path):
     # the three-block iterate gap must drop below 1e-8 within the budget
     ds, _ = gen_dataset("multi_trial", 5, n_trials=6, channels=3,
@@ -540,10 +526,8 @@ def test_blocked_snapshot_matches_whole_array_oracle(fit, eta_a,
 
     z, labels = ds.signals, ds.labels
     n, _, t = z.shape
-    density = get_density(cfg.density)
     state0, _, aux0 = grabbed[0]
-    assert np.array_equal(aux0, aux_exact(np.matmul(state0.w, z), density,
-                                          cfg.u_max))
+    assert np.array_equal(aux0, aux_exact(np.matmul(state0.w, z), cfg.u_max))
     assert [r.k for r in res.trace.records] == [0, 2, 4]
     for rec in res.trace.records:
         state, thetas, u = grabbed[rec.k]
@@ -555,9 +539,9 @@ def test_blocked_snapshot_matches_whole_array_oracle(fit, eta_a,
                                             FM16L, need_grad_s=False,
                                             need_grad_theta=False)
             loss_sup += float(losses.sum() / n)
-        loss_unsup = -state.logabsdet + density.g(x).sum() / (n * t)
+        loss_unsup = -state.logabsdet + np.abs(x).sum() / (n * t)
         f_value = (-state.logabsdet
-                   + (0.5 * u * x * x + density.f(u)).sum() / (n * t)
+                   + (0.5 * u * x * x + 0.5 / u).sum() / (n * t)
                    + cfg.lam * loss_sup
                    + 0.5 * cfg.mu * sum(float(np.sum(th ** 2))
                                         for th in thetas))
@@ -655,9 +639,9 @@ def test_trace_csv_layout_and_byte_stability(tmp_path):
 
 def test_trace_csv_empty_fields_for_unavailable_values(tmp_path):
     ds, _ = small_unsup()
-    res = fit_full_batch(ds, SolverConfig(iterations=2, density="huber"))
+    res = fit_full_batch(ds, SolverConfig(iterations=2))
     path = tmp_path / "h.csv"
     res.trace.to_csv(path, include_timing=False)
     for line in path.read_text().splitlines()[1:]:
         cells = line.split(",")
-        assert cells[3] == "" and cells[4] == ""   # no F, no amari
+        assert cells[3] != "" and cells[4] == ""   # F, no amari

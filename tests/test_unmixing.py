@@ -8,7 +8,7 @@ import pytest
 
 from mtsica import unmixing
 from mtsica.data import TargetSchema
-from mtsica.likelihood import aux_exact, get_density
+from mtsica.likelihood import aux_exact
 from mtsica.solver import SolverConfig, fit_full_batch, fit_stochastic
 from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
                                 batch_loss_grads)
@@ -129,7 +129,7 @@ def test_blocked_a_pass_matches_per_row_oracle(c_dim, cols):
     z = rng.normal(size=(n, c_dim, tau + 5))
     trials, times = np.arange(n), np.arange(2, tau + 2)
     w = np.eye(c_dim) + 0.3 * rng.normal(size=(c_dim, c_dim))
-    u = aux_exact(np.matmul(w, z), get_density("laplace"), u_max=2.0)
+    u = aux_exact(np.matmul(w, z), u_max=2.0)
     assert np.any(u == 2.0) and np.any(u < 2.0)
     a_set = weighted_moments(component_major(u, trials, times),
                              component_major(z, trials, times))
