@@ -253,7 +253,6 @@ def _load_run_inputs(args):
             ground_truth = read_matrix_f64(gt_path)
         except (DatasetFormatError, OSError) as e:
             raise CliError(f"bad mixing file {gt_path}: {e}") from e
-    _check_inputs(args.data, dataset, config, ground_truth)
     return dataset, config, extras, ground_truth
 
 
@@ -266,26 +265,22 @@ def _check_inputs(data_path, dataset, config, ground_truth=None):
 
 def _run_single_fit(dataset, config, extras, ground_truth, out_dir,
                     timing: bool):
+    """Fit and write the trace and outputs to ``out_dir``; returns the
+    :class:`FitResult`, or ``None`` when the fit aborted numerically (the
+    outputs then hold the last good state)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = resolved_config_lines(config, extras)
+    config_lines = resolved_config_lines(config, extras)
     try:
-        result = fit_stochastic(dataset, config, ground_truth)
+        result = outcome = fit_stochastic(dataset, config, ground_truth)
     except SolverAbort as e:
-        e.trace.to_csv(out / "trace.csv", lines, include_timing=timing)
-        _write_fit_outputs(out, e.w_state, e.models, lines, dataset,
-                           aborted=str(e))
-        return None
-    result.trace.to_csv(out / "trace.csv", lines, include_timing=timing)
-    _write_fit_outputs(out, result.w_state, result.models, lines, dataset,
-                       aborted=None)
-    return result
-
-
-def _write_fit_outputs(out, w_state, models, config_lines, dataset, aborted):
+        result, outcome = None, e
+    outcome.trace.to_csv(out / "trace.csv", config_lines,
+                         include_timing=timing)
+    w_state, models = outcome.w_state, outcome.models
     banner = [f"mtsica {__version__} fit output"]
-    if aborted:
-        banner.append(f"aborted: {aborted}")
+    if result is None:
+        banner.append(f"aborted: {outcome}")
     header = banner + config_lines
     write_matrix_f64(out / "W.f64", w_state.w)
     write_matrix_text(out / "W.txt", w_state.w, header)
@@ -296,7 +291,7 @@ def _write_fit_outputs(out, w_state, models, config_lines, dataset, aborted):
     (out / "config.resolved").write_text(
         "\n".join(config_lines) + "\n", encoding="utf-8")
     inventory = [
-        f"status={'aborted' if aborted else 'ok'}",
+        f"status={'aborted' if result is None else 'ok'}",
         f"W.f64 shape: {w_state.w.shape[0]} {w_state.w.shape[1]}",
     ]
     for m, model in enumerate(models):
@@ -304,10 +299,19 @@ def _write_fit_outputs(out, w_state, models, config_lines, dataset, aborted):
         inventory.append(f"theta_{m}.f64 ({model.schema.name}) shape: {shape}")
     (out / "run.txt").write_text(
         "\n".join(banner + config_lines + inventory) + "\n", encoding="utf-8")
+    return result
 
 
 def cmd_fit(args) -> int:
     dataset, config, extras, ground_truth = _load_run_inputs(args)
+    if args.seeds is None:
+        seeds = [config.seed]
+    else:
+        lo, hi = _parse_seed_range(args.seeds)
+        seeds = list(range(lo, hi + 1))
+    for s in seeds:  # every seed before any run directory is made
+        _check_inputs(args.data, dataset, replace(config, seed=s),
+                      ground_truth)
     if args.seeds is None:
         result = _run_single_fit(dataset, config, extras, ground_truth,
                                  args.out, args.timing)
@@ -323,8 +327,6 @@ def cmd_fit(args) -> int:
         print(msg)
         return EXIT_OK
 
-    lo, hi = _parse_seed_range(args.seeds)
-    seeds = list(range(lo, hi + 1))
     failures = [s for s in seeds
                 if _run_single_fit(dataset, replace(config, seed=s), extras,
                                    ground_truth, Path(args.out) / f"seed_{s}",

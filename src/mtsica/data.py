@@ -200,6 +200,7 @@ def preprocess(dataset: Dataset, center: bool = False,
             raise ValueError("cannot rescale all-zero signals")
         sig /= scale
         info["scale"] = scale
+    sig.flags.writeable = False  # nothing else holds it: Dataset keeps it
     return Dataset(sig, dataset.labels, dataset.targets), info
 
 

@@ -41,6 +41,13 @@ def derive_stream_seed(seed: int, index: int) -> int:
     return splitmix64_mix((seed ^ ((index * _GAMMA) & _MASK64)) & _MASK64)
 
 
+def _open_unit(u64: np.ndarray) -> np.ndarray:
+    """uint64 draws to uniforms in (0, 1): the top 53 bits plus one half,
+    scaled by 2**-53 (the top bucket, ``u64 >> 11 == 2**53 - 1``, rounds
+    up to exactly 1.0)."""
+    return ((u64 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
 def _splitmix64_expand(seed: int, n: int) -> list[int]:
     # successive splitmix64 outputs used to fill generator state
     out = []
@@ -66,28 +73,34 @@ class Xoshiro256pp:
         s = _splitmix64_expand(self.seed, 4)
         self._s0, self._s1, self._s2, self._s3 = s
 
+    def _u64s(self, n: int) -> list[int]:
+        """Advance the state ``n`` steps; returns the ``n`` outputs in order.
+
+        The one scalar xoshiro256++ step: every draw of this class comes
+        from here.
+        """
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        out = []
+        for _ in range(n):
+            x = (s0 + s3) & _MASK64
+            out.append((((x << 23) | (x >> 41)) + s0) & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return out
+
     def next_u64(self) -> int:
         """Advance the state and return the next 64-bit output."""
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        x = (s0 + s3) & _MASK64
-        result = (((x << 23) | (x >> 41)) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
+        return self._u64s(1)[0]
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
-
-    def _open_unit(self) -> float:
-        # uniform in the open interval (0, 1); safe under log()
-        return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n).
@@ -107,13 +120,9 @@ class Xoshiro256pp:
         """
         count = int(np.prod(shape))
         n_pairs = (count + 1) // 2
-        u1 = np.empty(n_pairs)
-        u2 = np.empty(n_pairs)
-        for j in range(n_pairs):
-            u1[j] = self._open_unit()
-            u2[j] = self._open_unit()
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        a = 2.0 * np.pi * u2
+        u = _open_unit(np.array(self._u64s(2 * n_pairs), dtype=np.uint64))
+        r = np.sqrt(-2.0 * np.log1p(-u[0::2].copy()))
+        a = 2.0 * np.pi * u[1::2].copy()
         out = np.empty(n_pairs * 2)
         out[0::2] = r * np.cos(a)
         out[1::2] = r * np.sin(a)
@@ -136,22 +145,10 @@ class Xoshiro256pp:
             raise ValueError(f"need 0 < n_draw <= n_total, got {n_draw}, {n_total}")
         moved = {}
         picked = []
-        # next_u64 and below() inlined on local state: one u64 per draw
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        for j in range(n_draw):
-            x = (s0 + s3) & _MASK64
-            u64 = (((x << 23) | (x >> 41)) + s0) & _MASK64
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        for j, u64 in enumerate(self._u64s(n_draw)):
             r = j + u64 % (n_total - j)
             picked.append(moved.get(r, r))
             moved[r] = moved.get(j, j)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         out = np.array(picked, dtype=np.int64)
         out.sort()
         return out
@@ -204,13 +201,10 @@ class Xoshiro256ppStreams:
         s[:, 3] = (s[:, 3] << np.uint64(45)) | (s[:, 3] >> np.uint64(19))
         return result
 
-    def _open_unit(self) -> np.ndarray:
-        return ((self.next_u64() >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
     def laplace_block(self, count: int) -> np.ndarray:
         """Per-stream Laplace(0, 1) draws; returns ``(n_streams, count)``."""
         out = np.empty((self.n_streams, count))
         for j in range(count):
-            v = self._open_unit() - 0.5
+            v = _open_unit(self.next_u64()) - 0.5
             out[:, j] = -np.sign(v) * np.log1p(-2.0 * np.abs(v))
         return out

@@ -100,9 +100,9 @@ class SolverConfig:
     batch_times: Optional[int] = None
     seed: int = 0
     trace_every: int = 1
-    window: int = 64
-    hop: int = 32
-    log_power: bool = False
+    window: int = FeatureMapConfig.window
+    hop: int = FeatureMapConfig.hop
+    log_power: bool = FeatureMapConfig.log_power
     u_max: float = DEFAULT_U_MAX
     init_scale: float = 0.01
 
@@ -153,7 +153,7 @@ class RateGuards:
 
 
 def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
-                        fm_cfg: Optional[FeatureMapConfig] = None) -> RateGuards:
+                        fm_cfg: FeatureMapConfig) -> RateGuards:
     """Estimate smoothness constants and the step-size ceilings they imply.
 
     Signal spectral norms are exact (LAPACK).  Per-target constants are
@@ -162,7 +162,6 @@ def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
     ``_GUARD_RADIUS_FACTOR`` times the largest trial spectral norm, since a
     candidate source row W_m z_i is norm-bounded by |W_m| |z_i|_2.
     """
-    fm_cfg = fm_cfg or FeatureMapConfig()
     z = dataset.signals
     norms = np.array([spectral_norm(z[i]) for i in range(z.shape[0])])
     avg_sq = float(np.mean(norms ** 2))
@@ -261,25 +260,6 @@ def fit_full_batch(dataset: Dataset, config: SolverConfig,
         ground_truth, _iter_hook)
 
 
-def fit_stochastic(dataset: Dataset, config: SolverConfig,
-                   ground_truth: Optional[np.ndarray] = None,
-                   _iter_hook=None) -> FitResult:
-    """Fit on ``batch_trials`` trials and ``batch_times`` time points.
-
-    A batch smaller than the dataset is drawn afresh each iteration
-    (without replacement, sorted); the auxiliary weights are refreshed
-    only at sampled entries, and unsampled entries carry over from
-    earlier iterations (all start from one exact pass at the initial W).
-    A batch that covers the dataset is the full batch fit, which draws
-    nothing.
-
-    ``_iter_hook(k, state, models, aux)`` runs at k = 0 and after each
-    iteration k.  Its ``aux`` is an (N, C, T) view of the live aux store,
-    which later iterations overwrite: copy it to keep it.
-    """
-    return _fit(dataset, config, ground_truth, iter_hook=_iter_hook)
-
-
 def check_inputs(dataset: Dataset, config: SolverConfig,
                  ground_truth: Optional[np.ndarray] = None) -> tuple:
     """Check that ``config`` and ``ground_truth`` fit ``dataset``.
@@ -287,9 +267,10 @@ def check_inputs(dataset: Dataset, config: SolverConfig,
     Returns the (trials, times) minibatch sizes of one iteration; raises
     ``ValueError`` when a window, a minibatch or the ground truth does
     not fit the dataset, when the ground truth is not finite and
-    nonsingular (the precondition of :func:`amari_distance`), or when
-    ``u_max = inf`` meets a sample that is zero in every channel.
-    Fitting runs this before iteration 1.
+    nonsingular (the precondition of :func:`amari_distance`), when
+    ``u_max = inf`` meets a sample that is zero in every channel, or when
+    ``init_scale`` gives no invertible W0 from ``seed``.  Fitting runs
+    this before iteration 1.
     """
     n_trials, channels, samples = dataset.signals.shape
     if dataset.n_targets:
@@ -315,10 +296,27 @@ def check_inputs(dataset: Dataset, config: SolverConfig,
     batch_tau = config.batch_times or samples
     if batch_n > n_trials or batch_tau > samples:
         raise ValueError("minibatch size exceeds dataset dimensions")
+    _draw_invertible_init(Xoshiro256pp(config.seed), channels,
+                          config.init_scale)
     return batch_n, batch_tau
 
 
-def _fit(dataset, config, ground_truth, iter_hook=None) -> FitResult:
+def fit_stochastic(dataset: Dataset, config: SolverConfig,
+                   ground_truth: Optional[np.ndarray] = None,
+                   _iter_hook=None) -> FitResult:
+    """Fit on ``batch_trials`` trials and ``batch_times`` time points.
+
+    A batch smaller than the dataset is drawn afresh each iteration
+    (without replacement, sorted); the auxiliary weights are refreshed
+    only at sampled entries, and unsampled entries carry over from
+    earlier iterations (all start from one exact pass at the initial W).
+    A batch that covers the dataset is the full batch fit, which draws
+    nothing.
+
+    ``_iter_hook(k, state, models, aux)`` runs at k = 0 and after each
+    iteration k.  Its ``aux`` is an (N, C, T) view of the live aux store,
+    which later iterations overwrite: copy it to keep it.
+    """
     t_start = time.perf_counter()
     batch_n, batch_tau = check_inputs(dataset, config, ground_truth)
     z = dataset.signals
@@ -369,8 +367,8 @@ def _fit(dataset, config, ground_truth, iter_hook=None) -> FitResult:
 
     try:
         record(0)
-        if iter_hook is not None:
-            iter_hook(0, state, models, aux_view)
+        if _iter_hook is not None:
+            _iter_hook(0, state, models, aux_view)
         for k in range(1, config.iterations + 1):
             if stochastic:
                 trials_k = rng.subset(n_trials, batch_n)
@@ -429,8 +427,8 @@ def _fit(dataset, config, ground_truth, iter_hook=None) -> FitResult:
                     f"at iteration {k}")
             if not stochastic:
                 np.matmul(state.w, batch.reshape(channels, -1), out=xs)
-            if iter_hook is not None:  # test instrumentation
-                iter_hook(k, state, models, aux_view)
+            if _iter_hook is not None:  # test instrumentation
+                _iter_hook(k, state, models, aux_view)
             if k % config.trace_every == 0 or k == config.iterations:
                 record(k)
     except FactorizationError as e:
@@ -439,13 +437,16 @@ def _fit(dataset, config, ground_truth, iter_hook=None) -> FitResult:
 
 
 def _draw_invertible_init(rng, channels, scale):
+    # an entry that overflows to inf makes a draw non-invertible
     for _ in range(100):
-        w0 = np.eye(channels) + scale * rng.normals((channels, channels))
+        with np.errstate(over="ignore"):
+            w0 = np.eye(channels) + scale * rng.normals((channels, channels))
         try:
             return UnmixingState.from_matrix(w0)
         except FactorizationError:
             continue
-    raise FactorizationError("could not draw an invertible initialization")
+    raise ValueError(f"init_scale = {scale:g} gives no invertible initial W "
+                     f"in 100 draws from seed {rng.seed}")
 
 
 def _trial_blocks(n_trials, samples):

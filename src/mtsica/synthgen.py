@@ -68,7 +68,9 @@ def gen_hilbert_mixing(channels: int, kappa: float, seed: int) -> np.ndarray:
     Eigenvectors come from the Hilbert matrix of the same size; the
     spectrum is geometrically spaced from 1 to e^kappa and assigned to the
     eigenvectors in a seed-dependent random order.  ``kappa -> 0`` gives
-    the identity (the eigenbasis is orthonormal).
+    the identity (the eigenbasis is orthonormal).  Raises ``ValueError``
+    when the result is numerically singular (``np.linalg.matrix_rank``
+    below ``channels``, the test ``fit`` applies to its ground truth).
     """
     if kappa < 0.0:
         raise ValueError("kappa must be >= 0")
@@ -80,7 +82,12 @@ def gen_hilbert_mixing(channels: int, kappa: float, seed: int) -> np.ndarray:
     for j in range(channels):
         swap = j + rng.below(channels - j)
         order[j], order[swap] = order[swap], order[j]
-    return (evecs * sigma[order]) @ evecs.T
+    mixing = (evecs * sigma[order]) @ evecs.T
+    rank = np.linalg.matrix_rank(mixing)
+    if rank < channels:
+        raise ValueError(f"kappa = {kappa:g} gives a numerically singular "
+                         f"mixing (rank {rank} of {channels})")
+    return mixing
 
 
 def gen_regression_targets(sources: np.ndarray, n_targets: int,

@@ -68,6 +68,24 @@ def subset_full_list(rng, n_total, n_draw):
     return np.sort(np.array(pool[:n_draw], dtype=np.int64))
 
 
+def normals_per_pair(rng, shape):
+    """``Xoshiro256pp.normals`` drawn one u64 at a time: Box-Muller on
+    pairs of open-interval uniforms, radius then angle."""
+    count = int(np.prod(shape))
+    n_pairs = (count + 1) // 2
+    u1 = np.empty(n_pairs)
+    u2 = np.empty(n_pairs)
+    for j in range(n_pairs):
+        u1[j] = ((rng.next_u64() >> 11) + 0.5) * 2.0**-53
+        u2[j] = ((rng.next_u64() >> 11) + 0.5) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    a = 2.0 * np.pi * u2
+    out = np.empty(n_pairs * 2)
+    out[0::2] = r * np.cos(a)
+    out[1::2] = r * np.sin(a)
+    return out[:count].reshape(shape)
+
+
 def laplaces(rng, shape):
     """Laplace(0, 1) array from one scalar ``Xoshiro256pp`` via inverse CDF
     (variance 2, E|x| = 1): the per-draw form of

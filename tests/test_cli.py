@@ -116,6 +116,15 @@ def test_gen_kappa_needs_hilbert_mixing(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_gen_rejects_a_kappa_that_makes_the_mixing_singular(tmp_path, capsys):
+    argv = ["gen", "--recipe", "supervision", "--seed", 0, "--trials", 6,
+            "--channels", 4, "--samples", 128, "--kappa"]
+    assert run(argv + [40, "--out", tmp_path / "k40"]) == 2
+    assert "singular" in capsys.readouterr().err
+    assert not (tmp_path / "k40").exists()
+    assert run(argv + [34, "--out", tmp_path / "k34"]) == 0
+
+
 def test_gen_feature_flags_need_targets(tmp_path, capsys):
     # with no targets the label features reach nothing but the manifest
     for i, argv in enumerate([
@@ -287,6 +296,12 @@ def test_fit_batch_sizes_pick_the_path(tmp_path):
                 "--holdout", "1", "--out", tmp_path / "short.csv"]) == 0
 
 
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg", ["# comment", "", "iterations=2  # k",
+                                       "   ", "#seed=5"])
+    assert parse_config_file(cfg) == {"iterations": 2}
+
+
 def test_fit_rejects_malformed_configs(tmp_path, capsys):
     d = tmp_path / "ds"
     gen_tiny(d)
@@ -301,6 +316,12 @@ def test_fit_rejects_malformed_configs(tmp_path, capsys):
     bad_val = write_cfg(tmp_path / "v", ["iterations=soon"])
     assert run(["fit", "--data", d, "--config", bad_val,
                 "--out", tmp_path / "o3"]) == 2
+    for name, line, why in [("no_eq", "iterations 2", "expected key=value"),
+                            ("maybe", "log_power=maybe", "expected a boolean")]:
+        assert run(["fit", "--data", d, "--config",
+                    write_cfg(tmp_path / name, [line]),
+                    "--out", tmp_path / name / "o"]) == 2, line
+        assert why in capsys.readouterr().err
     sup = tmp_path / "sup"
     gen_sup(sup)
     for i, (data, lines, flags) in enumerate([
@@ -552,6 +573,36 @@ def test_fit_overflow_at_the_first_snapshot_exits_3(tmp_path, capsys):
     assert (out / "trace.csv").read_text().splitlines()[-1] == Trace.HEADER
 
 
+def test_fit_init_scale_without_an_invertible_draw_exits_2(tmp_path, capsys):
+    # at 10 channels W0 = I + 1e308 * N(0, 1) overflows on every draw
+    d = tmp_path / "ds"
+    assert run(["gen", "--recipe", "multi_trial", "--seed", 0, "--out", d,
+                "--trials", 4, "--channels", 10, "--samples", 200]) == 0
+    cfg = write_cfg(tmp_path / "cfg", ["init_scale=1e308", "iterations=2"])
+    out = tmp_path / "run"
+    for flags in ([], ["--seeds", "0..2"]):
+        assert run(["fit", "--data", d, "--config", cfg, "--out", out,
+                    *flags]) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration")
+        assert "init_scale = 1e+308" in err
+        assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_fit_seed_sweep_where_every_seed_aborts_exits_3(tmp_path, capsys):
+    d = tmp_path / "ds"
+    assert run(["gen", "--recipe", "multi_trial", "--seed", 0, "--out", d,
+                "--trials", 4, "--channels", 3, "--samples", 200]) == 0
+    cfg = write_cfg(tmp_path / "cfg", ["init_scale=1e200", "iterations=2"])
+    out = tmp_path / "sweep"
+    assert run(["fit", "--data", d, "--config", cfg, "--out", out,
+                "--seeds", "0..2"]) == 3
+    assert "aborted seeds: [0, 1, 2]" in capsys.readouterr().err
+    for s in range(3):
+        assert "status=aborted" in (out / f"seed_{s}" / "run.txt").read_text()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_fit_diverging_head_exits_3_and_names_the_head(tmp_path, capsys):
     d = tmp_path / "ds"
@@ -583,8 +634,9 @@ def test_fit_seed_sweep_matches_single_runs(tmp_path):
                        shallow=False)
     assert sorted(p.name for p in sweep.iterdir()) == \
         ["seed_0", "seed_1", "seed_2"]
-    assert run(["fit", "--data", d, "--config", cfg, "--out", sweep,
-                "--seeds", "5..3"]) == 2            # empty range
+    for seeds in ("5..3", "3", "a..b", "5..2"):    # empty or malformed
+        assert run(["fit", "--data", d, "--config", cfg, "--out", sweep,
+                    "--seeds", seeds]) == 2, seeds
 
 
 # --- eval ---
@@ -666,8 +718,12 @@ def test_eval_usage_errors(tmp_path, capsys):
                 "--out", sup_run]) == 0
     assert run(["eval", "--run", sup_run, "--data", short,
                 "--holdout", "0.5"]) == 2                # window 8 > T 6
+    assert run(["eval", "--run", rund, "--data", sup,
+                "--holdout", "0.5"]) == 2                # 2x2 W, 3 channels
+    assert run(["eval"]) == 2                            # neither mode
     err = capsys.readouterr().err.splitlines()
-    assert len([l for l in err if l.startswith("error:")]) == 4
+    assert len([l for l in err if l.startswith("error:")]) == 6
+    assert "W.f64 does not match" in err[-2]
 
 
 def test_eval_out_in_a_missing_directory_exits_2(tmp_path, capsys):

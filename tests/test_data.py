@@ -1,6 +1,7 @@
 """Dataset container, directory round trips, preprocessing, matrix files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ def test_preprocess_rescale_normalizes_avg_sq_spectral_norm():
     assert info["scale"] > 0
     # global scalar: ratios between entries unchanged
     assert np.allclose(out.signals * info["scale"], ds.signals)
+
+
+def test_preprocess_makes_one_copy_of_the_signals():
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.normal(size=(40, 10, 1000)), np.zeros((40, 0)), ())
+    tracemalloc.start()
+    try:
+        out, _ = preprocess(ds, center=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.signals.flags.writeable
+    assert peak < 1.5 * ds.signals.nbytes
 
 
 def test_preprocess_keeps_labels_and_schema():

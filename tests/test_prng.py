@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtsica.prng import (Xoshiro256pp, Xoshiro256ppStreams,
+from mtsica.prng import (Xoshiro256pp, Xoshiro256ppStreams, _open_unit,
                          derive_stream_seed, splitmix64_mix)
-from oracles import laplaces, subset_full_list
+from oracles import laplaces, normals_per_pair, subset_full_list
 
 
 def test_splitmix_mix_is_deterministic_and_64bit():
@@ -53,8 +53,9 @@ def test_random_unit_interval():
 
 
 def test_open_unit_never_hits_endpoints():
+    assert _open_unit(np.zeros(1, dtype=np.uint64))[0] > 0.0
     rng = Xoshiro256pp(13)
-    xs = np.array([rng._open_unit() for _ in range(50000)])
+    xs = _open_unit(np.array(rng._u64s(50000), dtype=np.uint64))
     assert xs.min() > 0.0 and xs.max() < 1.0
     # log must be finite on every draw
     assert np.all(np.isfinite(np.log(xs)))
@@ -77,6 +78,17 @@ def test_normals_moments_and_shapes():
     assert abs(x.std() - 1.0) < 0.01
     # odd count works (one draw of the last pair is dropped)
     assert rng.normals(7).shape == (7,)
+
+
+@pytest.mark.parametrize("shape", [(7, 33), 1, 2, 5, (10, 10), 462])
+def test_normals_match_per_pair_draws(shape):
+    # one block of u64s converted at once gives the bits and leaves the
+    # state of drawing the uniforms one at a time
+    for seed in range(5):
+        block, per_pair = Xoshiro256pp(seed), Xoshiro256pp(seed)
+        assert np.array_equal(block.normals(shape),
+                              normals_per_pair(per_pair, shape))
+        assert block.next_u64() == per_pair.next_u64()
 
 
 def test_laplaces_moments():

@@ -92,7 +92,7 @@ def test_rate_guards_closed_form_plugins(monkeypatch):
 
 def test_rate_guards_absent_couplings_are_unbounded():
     ds, _ = small_unsup()
-    g = compute_rate_guards(ds, [], lam=0.3, mu=0.0)
+    g = compute_rate_guards(ds, [], lam=0.3, mu=0.0, fm_cfg=FM16)
     assert g.w_lipschitz == 0.0
     assert g.eta_u_max == np.inf
     assert g.eta_p_max == np.inf

@@ -82,6 +82,13 @@ def test_hilbert_mixing_rejects_negative_kappa():
         gen_hilbert_mixing(4, -0.1, seed=0)
 
 
+def test_hilbert_mixing_rejects_a_numerically_singular_result():
+    # cond e^40 ~ 2e17 is past 1/eps: matrix_rank reads 3 of 4
+    with pytest.raises(ValueError, match="singular"):
+        gen_hilbert_mixing(4, 40.0, seed=7)
+    assert np.linalg.matrix_rank(gen_hilbert_mixing(4, 34.0, seed=7)) == 4
+
+
 # --- regression targets ---
 
 def test_targets_are_linear_feature_reads():
