@@ -8,8 +8,10 @@ the Laplace penalty g(x) = |x| and a log-determinant term::
 The penalty has the quadratic variational upper bound
 ``|x| = min_{u>0} (u x^2)/2 + f(u)`` with ``f(u) = 1/(2u)``, which the
 solver exploits: given per-entry auxiliary weights u the bound is
-quadratic in W.  The exact minimizer is ``u = 1/|x|``; a damped
-(proximal) variant stays near the previous weights.
+quadratic in W.  The exact minimizer is ``u = min(1/|x|, u_max)``; a
+damped (proximal) variant stays near the previous weights.  A fit's F
+takes the bound at that minimizer with the exact step (a function of W
+and the heads alone), at the stored weights with the proximal step.
 """
 
 from __future__ import annotations
@@ -25,16 +27,28 @@ _NEWTON_MAX_STEPS = 100
 
 
 def aux_exact(sources: np.ndarray, u_max: float = DEFAULT_U_MAX,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
+              out: Optional[np.ndarray] = None,
+              sums: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact auxiliary weights u = 1/|x|, entrywise, clamped to u_max.
 
     These minimize the variational bound for fixed sources; works for any
     array shape.  ``out``, a float64 array of the sources' shape (any
     memory layout), receives the weights in place and is returned; it may
     be ``sources`` itself.  The values are the same bits as without it.
+
+    ``sums``, a float64 array of two entries, gets the sums of |x| and of
+    the bound at u added.  That bound is |x| plus
+    u_max/2 * max(1/u_max - |x|, 0)^2, with no 0*inf product, so it stays
+    finite at ``u_max = inf`` and x = 0.
     """
     x = np.asarray(sources, dtype=np.float64)
     u = np.abs(x, out=np.empty_like(x) if out is None else out)
+    if sums is not None:
+        abs_sum, clamped = u.sum(), 0.0
+        if u.min(initial=np.inf) < 1.0 / u_max:   # never at u_max = inf
+            gap = np.maximum(1.0 / u_max - u, 0.0)
+            clamped = u_max * np.square(gap, out=gap).sum()
+        sums += (abs_sum, abs_sum + 0.5 * clamped)
     with np.errstate(divide="ignore"):
         np.divide(1.0, u, out=u)
     return np.minimum(u, u_max, out=u)
@@ -83,17 +97,11 @@ def aux_proximal(sources: np.ndarray, u_prev: np.ndarray, eta_a: float,
     return np.minimum(u, u_max)
 
 
-def variational_value(sources: np.ndarray, u: np.ndarray,
-                      out: Optional[np.ndarray] = None,
-                      scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """Entrywise bound value u*x^2/2 + 1/(2u).
-
-    ``u`` has the sources' shape.  ``out`` receives the value and
-    ``scratch`` holds 1/(2u) on the way (both arrays of that shape, fresh
-    when not given); neither may share memory with the inputs.
-    """
+def variational_value(sources: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Entrywise bound value u*x^2/2 + 1/(2u); ``u`` has the sources'
+    shape."""
     x = np.asarray(sources, dtype=np.float64)
-    value = np.multiply(0.5, u, out=out)
+    value = np.multiply(0.5, u)
     np.multiply(value, x, out=value)
     np.multiply(value, x, out=value)
-    return np.add(value, np.divide(0.5, u, out=scratch), out=value)
+    return np.add(value, np.divide(0.5, u), out=value)

@@ -22,6 +22,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest double below 1.0
 
 
 def splitmix64_mix(x: int) -> int:
@@ -43,9 +44,10 @@ def derive_stream_seed(seed: int, index: int) -> int:
 
 def _open_unit(u64: np.ndarray) -> np.ndarray:
     """uint64 draws to uniforms in (0, 1): the top 53 bits plus one half,
-    scaled by 2**-53 (the top bucket, ``u64 >> 11 == 2**53 - 1``, rounds
-    up to exactly 1.0)."""
-    return ((u64 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    scaled by 2**-53.  The top bucket, ``u64 >> 11 == 2**53 - 1``, would
+    round up to 1.0 and maps to the largest double below it instead."""
+    u = ((u64 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def _splitmix64_expand(seed: int, n: int) -> list[int]:

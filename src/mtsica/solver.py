@@ -11,35 +11,28 @@ One outer iteration is one straight pass over one gathered minibatch:
 2. step every supervised head theta with its first-order rule, using the
    gradient of the mean supervised loss at the current W (a head whose
    minibatch loss is not finite aborts the fit before any theta moves);
-3. refresh the auxiliary weights at the sampled (trial, time) entries
-   (exact minimization at ``eta_a = inf``, else a damped proximal step);
+3. compute the batch's auxiliary weights and every A_c from them: the
+   exact minimizer u = min(1/|W z|, u_max) at ``eta_a = inf``, else a
+   damped proximal step from the stored weights;
 4. form the supervision coupling matrix B at the current W and new theta;
 5. sweep the rows of W cyclically, each row minimized in closed form.
 
 Steps 2 and 4 share one feature forward per head: the features depend on
 W and the trials only, not on theta.  Steps 3 to 5 work on ``batch`` as
-one (C, n*tau) matrix: the sources are ``W @ batch``, the fresh aux block
-has the same layout, B is one matrix-vector product per head and all C
-matrices A_c come from one blocked pass.  Steps 2 and 3 touch disjoint
-variables, neither reads the other's output, and the draws happen before
-either, so swapping them would give bit-identical fits.
+one (C, n*tau) matrix, and B is one matrix-vector product per head.
+Steps 2 and 3 touch disjoint variables, neither reads the other's
+output, and the draws happen before either, so swapping them would give
+bit-identical fits.
 
-The aux store is component-major, (C, N, T).  A batch's aux block is the
-columns ``cols = trials * T + times`` (every pair, in batch order) of its
-(C, N*T) view, read and written with that one index.  A full batch fit
-computes the sources ``W @ batch`` once per W: before iteration 1 and
-right after each sweep, into one reused array.  The trace snapshot of
-that W and the aux refresh of the next iteration both read that array,
-and the exact refresh overwrites the whole store in place.
-
-Nothing else the size of the dataset is allocated.  The trace snapshot
-and the initial aux pass of a stochastic fit walk the trials in blocks of
-``max(1, _SNAP_ENTRIES // T)``; a stochastic fit computes each block's
-``W z`` afresh, a full batch fit reads it from the carried sources.  The
-initial stochastic aux store is filled with ``W z`` block by block and
-then turned into weights by one in-place :func:`aux_exact` call.  So a
-stochastic fit holds the signals and the aux store, a full batch fit
-those, the component-major batch and its sources.
+The exact step keeps no weights: one blocked pass (:func:`exact_moments`)
+computes each block's ``W z`` once, its weights and its share of every
+A_c.  A full batch fit makes that pass right after each sweep but the
+last, where it also sums |W z| and the bound at those weights for the
+new W's trace row, and the A_c wait for the next iteration.  The proximal
+step keeps a component-major (C, N, T) store; a batch's weights are the
+columns ``cols = trials * T + times`` of its (C, N*T) view.  The trace
+snapshot and the store's initial exact pass walk the trials in blocks of
+``max(1, _SNAP_ENTRIES // T)``, each with its own ``W z``.
 
 All randomness (initialization, minibatch draws) comes from one
 deterministic stream seeded by ``config.seed``, consumed in a documented
@@ -69,12 +62,12 @@ from .supervision import (FeatureMapConfig, SupervisedTargetModel,
                           make_optimizer, optimizer_step, param_lipschitz,
                           source_lipschitz)
 from .unmixing import (FactorizationError, UnmixingState, compute_B,
-                       cyclic_sweep, make_a_provider)
+                       cyclic_sweep, exact_moments, make_a_provider)
 
 _LOGDET_FLOOR_PER_CHANNEL = -50.0  # abort when log|det W| < floor * C
 _GUARD_RADIUS_FACTOR = 4.0  # rate-guard ball radius / largest |z_i|_2
 # entries per component of one block of trials in the snapshot and the
-# initial stochastic aux pass: a block's scratch stays in cache
+# proximal store's initial pass: a component's temporaries stay in cache
 _SNAP_ENTRIES = 1 << 15
 
 
@@ -307,15 +300,16 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
     """Fit on ``batch_trials`` trials and ``batch_times`` time points.
 
     A batch smaller than the dataset is drawn afresh each iteration
-    (without replacement, sorted); the auxiliary weights are refreshed
-    only at sampled entries, and unsampled entries carry over from
+    (without replacement, sorted); the proximal step refreshes the stored
+    weights only at sampled entries, and unsampled entries carry over from
     earlier iterations (all start from one exact pass at the initial W).
     A batch that covers the dataset is the full batch fit, which draws
     nothing.
 
     ``_iter_hook(k, state, models, aux)`` runs at k = 0 and after each
-    iteration k.  Its ``aux`` is an (N, C, T) view of the live aux store,
-    which later iterations overwrite: copy it to keep it.
+    iteration k.  Its ``aux`` is ``None`` with the exact step, which keeps
+    no weights, and with the proximal step an (N, C, T) view of the live
+    aux store, which later iterations overwrite: copy it to keep it.
     """
     t_start = time.perf_counter()
     batch_n, batch_tau = check_inputs(dataset, config, ground_truth)
@@ -339,30 +333,27 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
 
     trace = Trace()
 
-    # the aux store is component-major, (C, N, T); a batch's aux block is
-    # the columns ``cols`` of its (C, N*T) view
+    exact = config.eta_a == np.inf
     coupled = n_targets and config.lam > 0.0
-    aux = np.empty((channels, n_trials, samples))
-    aux_flat = aux.reshape(channels, -1)
-    if stochastic:
-        x_all = None  # W z goes into the aux store, one block at a time
-        for lo, hi in _trial_blocks(n_trials, samples):
-            aux[:, lo:hi] = np.matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
-    else:  # the batch is the whole dataset, every iteration
+    if not stochastic:  # the batch is the whole dataset, every iteration
         trials_k = times_k = cols = slice(None)
         sub = z
         batch = np.ascontiguousarray(z.transpose(1, 0, 2))
-        # W z, recomputed in place after each sweep; read by the snapshot
-        # and by the next aux refresh
-        xs = state.w @ batch.reshape(channels, -1)
-        x_all = xs.reshape(batch.shape)
-    # the initial exact pass, one call over the whole store
-    aux_exact(aux if stochastic else x_all, config.u_max, out=aux)
-    aux_view = aux.transpose(1, 0, 2)    # (N, C, T), for the hook
+    aux = aux_view = a_set = sums = None
+    if not exact:
+        # the proximal step's store is component-major, (C, N, T); a
+        # batch's aux block is the columns ``cols`` of its (C, N*T) view.
+        # W z goes into it one block at a time, then one exact pass.
+        aux = np.empty((channels, n_trials, samples))
+        aux_flat = aux.reshape(channels, -1)
+        for lo, hi in _trial_blocks(n_trials, samples):
+            aux[:, lo:hi] = np.matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
+        aux_exact(aux, config.u_max, out=aux)
+        aux_view = aux.transpose(1, 0, 2)    # (N, C, T), for the hook
 
     def record(k):
         trace.records.append(_snapshot(
-            k, state, models, z, x_all, aux, labels, fm_cfg, config,
+            k, state, models, z, aux, sums, labels, fm_cfg, config,
             ground_truth, t_start))
 
     try:
@@ -404,29 +395,31 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
                         ctx, grad_phi, samples, fm_cfg))
             del heads
 
-            x = (state.w @ batch.reshape(channels, -1) if stochastic
-                 else xs)
-            if config.eta_a == np.inf:
-                # a full batch refreshes the whole store in place
-                aux_k = aux_exact(x, config.u_max,
-                                  out=None if stochastic else aux_flat)
+            if exact:
+                if a_set is None:   # not carried from the last iteration
+                    a_set = exact_moments(state.w, batch, config.u_max)
+                a_of = a_set.__getitem__
             else:
-                aux_k = aux_proximal(x, aux_flat[:, cols], config.eta_a,
+                aux_k = aux_proximal(state.w @ batch.reshape(channels, -1),
+                                     aux_flat[:, cols], config.eta_a,
                                      config.u_max)
-            del x
-            if aux_k is not aux_flat:
                 aux_flat[:, cols] = aux_k
+                a_of = make_a_provider(aux_k, batch)
+                del aux_k
 
             b_mat = compute_B(grad_s, batch, times_k)
-            a_of = make_a_provider(aux_k, batch)
             state = cyclic_sweep(state, a_of, b_mat, config.eta_u, config.lam)
-            del aux_k, a_of
+            del a_of
             if state.logabsdet < _LOGDET_FLOOR_PER_CHANNEL * channels:
                 raise FactorizationError(
                     f"log|det W| collapsed to {state.logabsdet:.3g} "
                     f"at iteration {k}")
-            if not stochastic:
-                np.matmul(state.w, batch.reshape(channels, -1), out=xs)
+            a_set = sums = None
+            if exact and not stochastic and k < config.iterations:
+                # one pass at the new W: the sums of its trace row and the
+                # A_c of the next iteration
+                sums = np.zeros(2) if k % config.trace_every == 0 else None
+                a_set = exact_moments(state.w, batch, config.u_max, sums)
             if _iter_hook is not None:  # test instrumentation
                 _iter_hook(k, state, models, aux_view)
             if k % config.trace_every == 0 or k == config.iterations:
@@ -456,43 +449,42 @@ def _trial_blocks(n_trials, samples):
     return [(lo, min(lo + step, n_trials)) for lo in range(0, n_trials, step)]
 
 
-def _snapshot(k, state, models, z, x_all, aux, labels, fm_cfg, config,
+def _snapshot(k, state, models, z, aux, sums, labels, fm_cfg, config,
               ground_truth, t_start) -> TraceRecord:
     """Full-dataset objective values at the current W and theta.
 
-    ``z`` is the (N, C, T) data, ``aux`` the (C, N, T) store and ``x_all``
-    the (C, N, T) sources ``W z``, or ``None`` to compute them one block
-    of trials at a time (see :func:`_trial_blocks`).  For each block the
-    heads' per-trial losses go into one (N,) array per head, summed once
-    at the end; then, one component at a time, g(x) and the bound fill
-    scratch of one block's size and each sum is added to a running total,
-    blocks in trial order and components in index order within a block.
-    A ``W @ ground_truth`` that :func:`amari_distance` cannot score (it
-    overflowed) raises :class:`FactorizationError`.
+    ``z`` is the (N, C, T) data and ``aux`` the proximal step's (C, N, T)
+    store, or ``None`` for the exact weights of W.  ``sums`` holds the sums
+    of |W z| and of the bound over the dataset, or ``None`` to add them up
+    here over blocks of trials (:func:`_trial_blocks`) in order, one
+    component at a time.  A block's ``W z`` is computed when the sums or
+    the heads need it; the heads' per-trial losses go into one (N,) array
+    per head, summed once at the end.  A ``W @ ground_truth`` that
+    :func:`amari_distance` cannot score (it overflowed) raises
+    :class:`FactorizationError`.
     """
     n, channels, t = z.shape
-    blocks = _trial_blocks(n, t)
-    scratch = np.empty((3, blocks[0][1], t))  # g(x), bound, f(u) of a block
     head_losses = np.empty((len(models), n))
-    g_sum = bound_sum = 0.0
-    for lo, hi in blocks:
-        x = (np.matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
-             if x_all is None else x_all[:, lo:hi])
+    own_sums = sums is None
+    sums = np.zeros(2) if own_sums else sums
+    for lo, hi in _trial_blocks(n, t) if models or own_sums else ():
+        x = np.matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
+        for c in range(channels if own_sums else 0):
+            if aux is None:
+                aux_exact(x[c], config.u_max, sums=sums)
+            else:
+                sums += (np.abs(x[c]).sum(),
+                         variational_value(x[c], aux[c, lo:hi]).sum())
         for m, model in enumerate(models):
             head_losses[m, lo:hi] = batch_loss_grads(
                 model, x[m], labels[lo:hi, m], fm_cfg, need_grad_s=False,
                 need_grad_theta=False)[0]
-        g_x, bound, f_u = scratch[:, :hi - lo]
-        for c in range(channels):
-            g_sum += np.abs(x[c], out=g_x).sum()
-            bound_sum += variational_value(
-                x[c], aux[c, lo:hi], out=bound, scratch=f_u).sum()
         del x  # one block of sources alive at a time
     loss_sup = 0.0
     for losses in head_losses:
         loss_sup += float(losses.sum() / n)
-    loss_unsup = float(-state.logabsdet + g_sum / (n * t))
-    f_value = float(-state.logabsdet + bound_sum / (n * t)
+    loss_unsup = float(-state.logabsdet + sums[0] / (n * t))
+    f_value = float(-state.logabsdet + sums[1] / (n * t)
                     + config.lam * loss_sup
                     + 0.5 * config.mu * sum(
                         float(np.sum(m.theta ** 2)) for m in models))

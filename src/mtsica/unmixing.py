@@ -22,17 +22,13 @@ from row to row by adding log r_c: only :meth:`UnmixingState.from_matrix`
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .data import _own_readonly
-
-__all__ = [
-    "UnmixingState", "FactorizationError", "weighted_moments",
-    "make_a_provider", "compute_B", "row_update", "cyclic_sweep",
-]
-
+from .likelihood import aux_exact
 
 # the LAPACK Cholesky routines row_update calls, looked up once
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
@@ -103,9 +99,40 @@ def weighted_moments(u_batch: np.ndarray, batch: np.ndarray) -> np.ndarray:
     exactly symmetric.
     """
     c_dim = batch.shape[0]
-    flat = batch.reshape(c_dim, -1)
     weights = u_batch.reshape(c_dim, -1)
-    cols = flat.shape[1]
+    return _moments(batch.reshape(c_dim, -1),
+                    lambda start, stop: weights[:, start:stop])
+
+
+def exact_moments(w: np.ndarray, batch: np.ndarray, u_max: float,
+                  sums: Optional[np.ndarray] = None) -> np.ndarray:
+    """Every A_c at the exact weights of W, in one pass over the batch.
+
+    Each block of columns of :func:`weighted_moments`' pass computes
+    x = W @ block once and turns it in place into its weights
+    u = min(1/|x|, u_max) (:func:`aux_exact`), so the result has the bits
+    of ``weighted_moments(aux_exact(W @ batch, u_max), batch)``; each
+    block's |x| and bound at u are added to ``sums`` (see aux_exact).
+    """
+    flat = batch.reshape(len(w), -1)
+    x_buf = np.empty((len(w), min(_A_BLOCK, flat.shape[1])))
+
+    def weights(start, stop):
+        x = x_buf[:, :stop - start]
+        if stop - start == 1 and start > 0:
+            # one column takes another BLAS kernel than the gemm of the
+            # whole batch; two columns take the same one
+            x[...] = (w @ flat[:, start - 1:stop])[:, 1:]
+        else:
+            np.matmul(w, flat[:, start:stop], out=x)
+        return aux_exact(x, u_max, out=x, sums=sums)
+
+    return _moments(flat, weights)
+
+
+def _moments(flat, weights):
+    # weighted_moments' pass; weights(start, stop) gives a block's weights
+    c_dim, cols = flat.shape
     upper, lower = np.triu_indices(c_dim)
     acc = np.zeros((len(upper), c_dim))   # acc[pair, c]
     pairs = np.empty((len(upper), min(_A_BLOCK, cols)))
@@ -116,7 +143,7 @@ def weighted_moments(u_batch: np.ndarray, batch: np.ndarray) -> np.ndarray:
         for a in range(c_dim):
             np.multiply(block[a:], block[a], out=prod[row:row + c_dim - a])
             row += c_dim - a
-        acc += prod @ weights[:, start:start + _A_BLOCK].T
+        acc += prod @ weights(start, start + block.shape[1]).T
     acc /= cols
     a_set = np.empty((c_dim, c_dim, c_dim))
     a_set[:, upper, lower] = acc.T
@@ -125,21 +152,9 @@ def weighted_moments(u_batch: np.ndarray, batch: np.ndarray) -> np.ndarray:
 
 
 def make_a_provider(u_batch: np.ndarray, batch: np.ndarray):
-    """Return ``c -> A_c`` for one gathered (mini)batch.
-
-    ``batch`` and ``u_batch`` are as in :func:`weighted_moments`.  The
-    first call builds all C matrices in one blocked pass (C^3 floats next
-    to the batch); later calls look them up.
-    """
-    a_set = None
-
-    def a_of(comp: int) -> np.ndarray:
-        nonlocal a_set
-        if a_set is None:
-            a_set = weighted_moments(u_batch, batch)
-        return a_set[comp]
-
-    return a_of
+    """Return ``c -> A_c`` for one gathered (mini)batch: a lookup in the C
+    matrices :func:`weighted_moments` builds in one blocked pass."""
+    return weighted_moments(u_batch, batch).__getitem__
 
 
 def compute_B(grad_s, batch: np.ndarray, times) -> np.ndarray:

@@ -54,6 +54,12 @@ def test_random_unit_interval():
 
 def test_open_unit_never_hits_endpoints():
     assert _open_unit(np.zeros(1, dtype=np.uint64))[0] > 0.0
+    assert _open_unit(np.array([2**64 - 1], dtype=np.uint64))[0] < 1.0
+    # the top bucket maps to the largest double below 1.0, the one below
+    # it keeps its value
+    top = _open_unit(np.array([2**64 - 1, 2**64 - 2**11 - 1],
+                              dtype=np.uint64))
+    assert top.tolist() == [1.0 - 2.0**-53, 1.0 - 2.0**-52]
     rng = Xoshiro256pp(13)
     xs = _open_unit(np.array(rng._u64s(50000), dtype=np.uint64))
     assert xs.min() > 0.0 and xs.max() < 1.0

@@ -140,6 +140,44 @@ def test_blocked_a_pass_matches_per_row_oracle(c_dim, cols):
         assert np.array_equal(a_set[c], a_set[c].T)
 
 
+@pytest.mark.parametrize("c_dim", [3, 10])
+@pytest.mark.parametrize("cols", [1, 3999, 4000, 4001, 8001, 12345])
+def test_exact_pass_matches_weights_of_the_whole_batch(c_dim, cols):
+    # the blocked pass gives the bits of the exact weights of the whole
+    # batch's W z fed to weighted_moments (a one-column last block too),
+    # and the sums of |x| and of the bound at those weights
+    rng = np.random.default_rng(cols + c_dim)
+    batch = rng.laplace(size=(c_dim, cols))
+    w = np.eye(c_dim) + 0.3 * rng.normal(size=(c_dim, c_dim))
+    x = w @ batch
+    ax = np.abs(x)
+    for u_max in (1e8, 1.0):
+        sums = np.zeros(2)
+        a_set = unmixing.exact_moments(w, batch, u_max, sums)
+        assert np.array_equal(
+            a_set, weighted_moments(aux_exact(x, u_max), batch))
+        bound = np.where(ax >= 1.0 / u_max, ax,
+                         0.5 * u_max * ax * ax + 0.5 / u_max)
+        np.testing.assert_allclose(sums, [ax.sum(), bound.sum()],
+                                   rtol=1e-12, atol=0.0)
+    assert cols == 1 or np.any(ax < 1.0)     # u_max = 1 clamps entries
+
+
+def test_exact_pass_sums_stay_finite_at_u_max_inf():
+    # an exact zero in W z has an infinite weight, but the bound at it is
+    # |x| = 0: no 0 * inf reaches the sums
+    rng = np.random.default_rng(5)
+    batch = rng.laplace(size=(3, 4001))
+    batch[:, 17] = 0.0
+    w = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+    sums = np.zeros(2)
+    with np.errstate(invalid="ignore"):        # 0 * inf inside the A_c
+        unmixing.exact_moments(w, batch, np.inf, sums)
+    assert np.all(np.isfinite(sums))
+    np.testing.assert_allclose(sums, [np.abs(w @ batch).sum()] * 2,
+                               rtol=1e-12, atol=0.0)
+
+
 def test_a_c_subset_average_is_unbiased():
     # mean over all 2-subsets of trials/times equals the full batch value
     rng = np.random.default_rng(4)
