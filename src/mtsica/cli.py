@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .data import (Dataset, DatasetFormatError, concat_trials, load_dataset,
                    preprocess, read_matrix_f64, save_dataset,
-                   write_matrix_f64, write_matrix_text)
+                   write_commented_text, write_matrix_f64, write_matrix_text)
 from .metrics import amari_distance, evaluate_predictions, fobi
 # fit_full_batch is unused here; the benchmark harness's tracer patches it
 from .solver import (SolverAbort, SolverConfig, check_inputs, fit_full_batch,
@@ -352,17 +352,6 @@ def _parse_seed_range(text: str):
     return lo, hi
 
 
-def _emit_rows(out_path, comment_lines, header, rows):
-    lines = [f"# {c}" for c in comment_lines]
-    lines.append(header)
-    lines.extend(rows)
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_eval(args) -> int:
     if args.w:
         if not args.mixing:
@@ -383,7 +372,7 @@ def cmd_eval(args) -> int:
             rows.append(f"median,{np.median(values):.17g}")
         comments = ([f"mtsica {__version__} eval (amari)",
                      f"mixing={args.mixing}"])
-        _emit_rows(args.out, comments, "w_file,amari", rows)
+        write_commented_text(args.out, comments, ["w_file,amari", *rows])
         return EXIT_OK
 
     if not (args.run and args.data and args.holdout is not None):
@@ -420,7 +409,8 @@ def cmd_eval(args) -> int:
                  f"run={args.run}", f"data={args.data}",
                  f"holdout={args.holdout:.17g}",
                  f"holdout_trials={n_hold}"])
-    _emit_rows(args.out, comments, "target,kind,metric,value", rows)
+    write_commented_text(args.out, comments,
+                         ["target,kind,metric,value", *rows])
     return EXIT_OK
 
 
@@ -449,12 +439,14 @@ def cmd_baseline(args) -> int:
             rows.append(f"{i},{d:.17g},{'true' if res.degenerate else 'false'}")
         rows.append(f"mean,{np.mean(values):.17g},")
         rows.append(f"median,{np.median(values):.17g},")
-        _emit_rows(args.out, comments, "trial,amari,degenerate", rows)
+        write_commented_text(args.out, comments,
+                             ["trial,amari,degenerate", *rows])
     else:
         res = _fobi(concat_trials(dataset), "the concatenated trials")
         d = amari_distance(res.w, mixing)
-        _emit_rows(args.out, comments, "trial,amari,degenerate",
-                   [f"concat,{d:.17g},{'true' if res.degenerate else 'false'}"])
+        write_commented_text(args.out, comments, [
+            "trial,amari,degenerate",
+            f"concat,{d:.17g},{'true' if res.degenerate else 'false'}"])
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ same dataset twice produces byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -325,6 +326,16 @@ def read_matrix_f64(path, shape=None) -> np.ndarray:
     return flat.reshape(shape).copy()
 
 
+def write_commented_text(path, comments, lines) -> None:
+    """Write each of ``comments`` as a ``# `` line, then ``lines``, one per
+    line, to ``path``, or to stdout when ``path`` is ``None`` or empty."""
+    text = "\n".join([*(f"# {c}" for c in comments), *lines]) + "\n"
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def write_matrix_text(path, arr: np.ndarray, header_lines=()) -> None:
     """Human-readable sidecar for a raw matrix file.
 
@@ -333,8 +344,6 @@ def write_matrix_text(path, arr: np.ndarray, header_lines=()) -> None:
     rides along with the values.
     """
     arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(f"# shape: {' '.join(str(s) for s in arr.shape)}")
-    for row in arr:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    shape = f"shape: {' '.join(str(s) for s in arr.shape)}"
+    write_commented_text(path, [*header_lines, shape],
+                         [" ".join(f"{v:.17g}" for v in row) for row in arr])

@@ -11,9 +11,11 @@ One outer iteration is one straight pass over one gathered minibatch:
 2. step every supervised head theta with its first-order rule, using the
    gradient of the mean supervised loss at the current W (a head whose
    minibatch loss is not finite aborts the fit before any theta moves);
-3. compute the batch's auxiliary weights and every A_c from them: the
-   exact minimizer u = min(1/|W z|, u_max) at ``eta_a = inf``, else a
-   damped proximal step from the stored weights;
+3. make one blocked pass over the batch (:func:`make_a_provider`) that
+   computes each block's ``W z`` once, its auxiliary weights and its
+   share of every A_c.  The aux step, chosen before iteration 1, gives
+   the weights: the exact minimizer u = min(1/|W z|, u_max) at
+   ``eta_a = inf``, else a damped proximal step from the stored weights;
 4. form the supervision coupling matrix B at the current W and new theta;
 5. sweep the rows of W cyclically, each row minimized in closed form.
 
@@ -24,15 +26,15 @@ Steps 2 and 3 touch disjoint variables, neither reads the other's
 output, and the draws happen before either, so swapping them would give
 bit-identical fits.
 
-The exact step keeps no weights: one blocked pass (:func:`exact_moments`)
-computes each block's ``W z`` once, its weights and its share of every
-A_c.  A full batch fit makes that pass right after each sweep but the
-last, where it also sums |W z| and the bound at those weights for the
-new W's trace row, and the A_c wait for the next iteration.  The proximal
-step keeps a component-major (C, N, T) store; a batch's weights are the
-columns ``cols = trials * T + times`` of its (C, N*T) view.  The trace
-snapshot and the store's initial exact pass walk the trials in blocks of
-``max(1, _SNAP_ENTRIES // T)``, each with its own ``W z``.
+The exact step keeps no weights.  A full batch fit with it makes the
+pass right after each sweep but the last, where it also sums |W z| and
+the bound at those weights for the new W's trace row, and the A_c wait
+for the next iteration.  The proximal step keeps a component-major
+(C, N, T) store and writes each block's weights back to it: a batch's
+weights are the columns ``cols = trials * T + times`` of its (C, N*T)
+view.  The trace snapshot and the store's initial exact pass walk the
+trials in blocks of ``max(1, _SNAP_ENTRIES // T)``, each with its own
+``W z``.
 
 All randomness (initialization, minibatch draws) comes from one
 deterministic stream seeded by ``config.seed``, consumed in a documented
@@ -51,18 +53,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import supervision
-from .data import Dataset
+from .data import Dataset, write_commented_text
 from .likelihood import (DEFAULT_U_MAX, aux_exact, aux_proximal,
                          variational_value)
 from .linalg import spectral_norm
 from .metrics import amari_distance
 from .prng import Xoshiro256pp
-from .supervision import (FeatureMapConfig, SupervisedTargetModel,
-                          batch_loss_grads, head_loss_grads, init_model,
-                          make_optimizer, optimizer_step, param_lipschitz,
-                          source_lipschitz)
+from .supervision import (FeatureMapConfig, batch_loss_grads,
+                          head_loss_grads, init_model, make_optimizer,
+                          optimizer_step, param_lipschitz, source_lipschitz)
 from .unmixing import (FactorizationError, UnmixingState, compute_B,
-                       cyclic_sweep, exact_moments, make_a_provider)
+                       cyclic_sweep, make_a_provider)
 
 _LOGDET_FLOOR_PER_CHANNEL = -50.0  # abort when log|det W| < floor * C
 _GUARD_RADIUS_FACTOR = 4.0  # rate-guard ball radius / largest |z_i|_2
@@ -209,15 +210,11 @@ class Trace:
         def num(v):
             return "" if v is None else f"{v:.17g}"
 
-        lines = [f"# {h}" for h in header_lines]
-        lines.append(self.HEADER)
-        for r in self.records:
-            wall = num(r.wall_ms) if include_timing else ""
-            lines.append(",".join([
-                str(r.k), num(r.loss_unsup), num(r.loss_sup),
-                num(r.f_value), num(r.amari), wall]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = [",".join([str(r.k), num(r.loss_unsup), num(r.loss_sup),
+                          num(r.f_value), num(r.amari),
+                          num(r.wall_ms) if include_timing else ""])
+                for r in self.records]
+        write_commented_text(path, header_lines, [self.HEADER, *rows])
 
     def final(self) -> TraceRecord:
         return self.records[-1]
@@ -336,11 +333,14 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
     exact = config.eta_a == np.inf
     coupled = n_targets and config.lam > 0.0
     if not stochastic:  # the batch is the whole dataset, every iteration
-        trials_k = times_k = cols = slice(None)
+        trials_k = times_k = slice(None)
         sub = z
         batch = np.ascontiguousarray(z.transpose(1, 0, 2))
-    aux = aux_view = a_set = sums = None
-    if not exact:
+    aux = aux_view = a_of = sums = None
+    if exact:
+        def step(x, start, stop):   # adds to ``sums`` when it is set
+            return aux_exact(x, config.u_max, out=x, sums=sums)
+    else:
         # the proximal step's store is component-major, (C, N, T); a
         # batch's aux block is the columns ``cols`` of its (C, N*T) view.
         # W z goes into it one block at a time, then one exact pass.
@@ -350,6 +350,12 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
             aux[:, lo:hi] = np.matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
         aux_exact(aux, config.u_max, out=aux)
         aux_view = aux.transpose(1, 0, 2)    # (N, C, T), for the hook
+
+        def step(x, start, stop):
+            at = cols[start:stop] if stochastic else slice(start, stop)
+            u = aux_proximal(x, aux_flat[:, at], config.eta_a, config.u_max)
+            aux_flat[:, at] = u
+            return u
 
     def record(k):
         trace.records.append(_snapshot(
@@ -395,31 +401,20 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
                         ctx, grad_phi, samples, fm_cfg))
             del heads
 
-            if exact:
-                if a_set is None:   # not carried from the last iteration
-                    a_set = exact_moments(state.w, batch, config.u_max)
-                a_of = a_set.__getitem__
-            else:
-                aux_k = aux_proximal(state.w @ batch.reshape(channels, -1),
-                                     aux_flat[:, cols], config.eta_a,
-                                     config.u_max)
-                aux_flat[:, cols] = aux_k
-                a_of = make_a_provider(aux_k, batch)
-                del aux_k
-
+            if a_of is None:   # not carried from the last iteration
+                a_of = make_a_provider(state.w, batch, step)
             b_mat = compute_B(grad_s, batch, times_k)
             state = cyclic_sweep(state, a_of, b_mat, config.eta_u, config.lam)
-            del a_of
+            a_of = sums = None
             if state.logabsdet < _LOGDET_FLOOR_PER_CHANNEL * channels:
                 raise FactorizationError(
                     f"log|det W| collapsed to {state.logabsdet:.3g} "
                     f"at iteration {k}")
-            a_set = sums = None
             if exact and not stochastic and k < config.iterations:
                 # one pass at the new W: the sums of its trace row and the
                 # A_c of the next iteration
                 sums = np.zeros(2) if k % config.trace_every == 0 else None
-                a_set = exact_moments(state.w, batch, config.u_max, sums)
+                a_of = make_a_provider(state.w, batch, step)
             if _iter_hook is not None:  # test instrumentation
                 _iter_hook(k, state, models, aux_view)
             if k % config.trace_every == 0 or k == config.iterations:

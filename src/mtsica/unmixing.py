@@ -22,13 +22,10 @@ from row to row by adding log r_c: only :meth:`UnmixingState.from_matrix`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 import scipy.linalg
 
 from .data import _own_readonly
-from .likelihood import aux_exact
 
 # the LAPACK Cholesky routines row_update calls, looked up once
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
@@ -80,81 +77,53 @@ def _eta_inv(eta_u: float) -> float:
 _A_BLOCK = 4000
 
 
-def weighted_moments(u_batch: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Every U-weighted second moment of one gathered (mini)batch.
+def make_a_provider(w: np.ndarray, batch: np.ndarray, step):
+    """Every A_c of one gathered (mini)batch, in one pass; returns
+    ``c -> A_c``.
 
-    Returns ``a`` of shape (C, C, C) with ``a[c] = A_c``::
+    ``batch`` is the component-major batch ``z[trials][:, :, times]``
+    transposed to (C, n, tau) (any trailing shape works; only the C-row
+    layout matters), and ``u_c[i, t]`` its auxiliary weights::
 
         A_c = (1/(n*tau)) * sum_{i in trials} sum_{t in times}
               u_c[i, t] * z_i[:, t] z_i[:, t]^T
 
-    ``batch`` is the component-major batch ``z[trials][:, :, times]``
-    transposed to (C, n, tau) and ``u_batch`` its auxiliary weights in the
-    same layout (any trailing shape works; only the C-row layout matters).
-    One pass over the columns in blocks of ``_A_BLOCK``: each block forms
-    the C(C+1)/2 products z_a z_b (a <= b) of the batch rows in one reused
-    buffer and adds a single matrix product with the weight block, so all
-    C matrices cost one read of the batch and no (n*tau) x C^2 array is
-    ever built.  Each A_c is filled from its upper triangle and so is
-    exactly symmetric.
-    """
-    c_dim = batch.shape[0]
-    weights = u_batch.reshape(c_dim, -1)
-    return _moments(batch.reshape(c_dim, -1),
-                    lambda start, stop: weights[:, start:stop])
-
-
-def exact_moments(w: np.ndarray, batch: np.ndarray, u_max: float,
-                  sums: Optional[np.ndarray] = None) -> np.ndarray:
-    """Every A_c at the exact weights of W, in one pass over the batch.
-
-    Each block of columns of :func:`weighted_moments`' pass computes
-    x = W @ block once and turns it in place into its weights
-    u = min(1/|x|, u_max) (:func:`aux_exact`), so the result has the bits
-    of ``weighted_moments(aux_exact(W @ batch, u_max), batch)``; each
-    block's |x| and bound at u are added to ``sums`` (see aux_exact).
+    The pass walks the (C, n*tau) columns in blocks of ``_A_BLOCK``.  Each
+    block gets x = W @ block once, in a reused buffer, and
+    ``step(x, start, stop)`` turns it into the weights of columns
+    ``start:stop`` (it may overwrite x and return it).  The block's
+    C(C+1)/2 products z_a z_b (a <= b) fill a second reused buffer and add
+    a single matrix product with the weights, so all C matrices cost one
+    read of the batch and no (n*tau) x C^2 array is ever built.  Each A_c
+    is filled from its upper triangle and so is exactly symmetric.
     """
     flat = batch.reshape(len(w), -1)
-    x_buf = np.empty((len(w), min(_A_BLOCK, flat.shape[1])))
-
-    def weights(start, stop):
-        x = x_buf[:, :stop - start]
-        if stop - start == 1 and start > 0:
-            # one column takes another BLAS kernel than the gemm of the
-            # whole batch; two columns take the same one
-            x[...] = (w @ flat[:, start - 1:stop])[:, 1:]
-        else:
-            np.matmul(w, flat[:, start:stop], out=x)
-        return aux_exact(x, u_max, out=x, sums=sums)
-
-    return _moments(flat, weights)
-
-
-def _moments(flat, weights):
-    # weighted_moments' pass; weights(start, stop) gives a block's weights
     c_dim, cols = flat.shape
     upper, lower = np.triu_indices(c_dim)
     acc = np.zeros((len(upper), c_dim))   # acc[pair, c]
     pairs = np.empty((len(upper), min(_A_BLOCK, cols)))
+    x_buf = np.empty((c_dim, pairs.shape[1]))
     for start in range(0, cols, _A_BLOCK):
         block = flat[:, start:start + _A_BLOCK]
+        stop = start + block.shape[1]
+        x = x_buf[:, :block.shape[1]]
+        if stop - start == 1 and start > 0:
+            # one column takes another BLAS kernel than the gemm of a
+            # whole block; two columns take the same one
+            x[...] = (w @ flat[:, start - 1:stop])[:, 1:]
+        else:
+            np.matmul(w, block, out=x)
         prod = pairs[:, :block.shape[1]]
         row = 0
         for a in range(c_dim):
             np.multiply(block[a:], block[a], out=prod[row:row + c_dim - a])
             row += c_dim - a
-        acc += prod @ weights(start, start + block.shape[1]).T
+        acc += prod @ step(x, start, stop).T
     acc /= cols
     a_set = np.empty((c_dim, c_dim, c_dim))
     a_set[:, upper, lower] = acc.T
     a_set[:, lower, upper] = acc.T
-    return a_set
-
-
-def make_a_provider(u_batch: np.ndarray, batch: np.ndarray):
-    """Return ``c -> A_c`` for one gathered (mini)batch: a lookup in the C
-    matrices :func:`weighted_moments` builds in one blocked pass."""
-    return weighted_moments(u_batch, batch).__getitem__
+    return a_set.__getitem__
 
 
 def compute_B(grad_s, batch: np.ndarray, times) -> np.ndarray:

@@ -2,10 +2,14 @@
 
 Each is the plain, per-row form of a quantity the solver computes in a
 faster layout, or an objective the solver never evaluates but whose
-descent the tests check.
+descent the tests check.  ``weighted_moments`` is the exception: the
+solver's own A_c pass fed given weights, the bit reference of the
+reference loops.
 """
 
 import numpy as np
+
+from mtsica.unmixing import make_a_provider
 
 
 def compute_A_c(u_c, signals, trials, times):
@@ -22,6 +26,15 @@ def compute_A_c(u_c, signals, trials, times):
     flat = sub.transpose(1, 0, 2).reshape(c, n * tau)   # (C, n*tau)
     weights = u_c[trials][:, times].reshape(n * tau)
     return (flat * weights) @ flat.T / (n * tau)
+
+
+def weighted_moments(u_batch, batch):
+    """Every A_c of ``batch`` (C, ...) at the given weights, as one
+    (C, C, C) array: the solver's blocked pass fed ``u_batch``."""
+    u = u_batch.reshape(len(batch), -1)
+    a_of = make_a_provider(np.eye(len(batch)), batch,
+                           lambda x, start, stop: u[:, start:stop])
+    return np.array([a_of(c) for c in range(len(batch))])
 
 
 def per_iteration_objective(w, w_anchor, a_of, b_mat, eta_u, lam):

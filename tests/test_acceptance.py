@@ -24,9 +24,8 @@ from mtsica.solver import (SolverAbort, SolverConfig, compute_rate_guards,
 from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
                                 batch_loss_grads, init_model, theta_shape)
 from mtsica.synthgen import gen_dataset
-from mtsica.unmixing import (UnmixingState, compute_B, row_update,
-                             weighted_moments)
-from oracles import per_iteration_objective
+from mtsica.unmixing import UnmixingState, compute_B, row_update
+from oracles import per_iteration_objective, weighted_moments
 
 CONT = TargetSchema("y", "continuous")
 CAT3 = TargetSchema("k", "categorical", n_classes=3)

@@ -1,5 +1,7 @@
-"""Package layout: one import path per name, and scipy only where used."""
+"""Package layout: one import path per name, scipy only where used, and
+no unused import."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +32,23 @@ def test_light_modules_import_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=ENV,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_modules_use_every_name_they_import():
+    # cli imports fit_full_batch unused: perfbench's tracer patches
+    # cli.fit_full_batch
+    allowed = {("cli", "fit_full_batch")}
+    unused = []
+    for path in sorted(Path(mtsica.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound += [a.asname or a.name for a in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [(path.stem, name) for name in bound
+                   if name not in used and (path.stem, name) not in allowed]
+    assert unused == []

@@ -2,9 +2,13 @@
 tracing, and failure modes."""
 
 import filecmp
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
                                 batch_loss_grads, init_model, make_optimizer,
                                 optimizer_step)
 from mtsica.synthgen import gen_dataset
-from mtsica.unmixing import compute_B, cyclic_sweep, make_a_provider
+from mtsica.unmixing import compute_B, cyclic_sweep
+from oracles import weighted_moments
 
 FM16 = FeatureMapConfig(window=16, hop=8)
 # log-compressed features keep label magnitudes O(10); raw powers at this
@@ -152,6 +157,36 @@ def test_stochastic_runs_are_bit_identical():
     assert r1.models[0].theta.tobytes() == r2.models[0].theta.tobytes()
 
 
+# one full batch fit in a child process; prints the hex bytes of W and of
+# the trace's timing-free values
+_FIT_BYTES = """
+import sys
+import numpy as np
+from mtsica.solver import SolverConfig, fit_full_batch
+from mtsica.synthgen import gen_dataset
+ds, _ = gen_dataset("multi_trial", 0, n_trials=5, channels=16, samples=2469)
+res = fit_full_batch(ds, SolverConfig(iterations=10, eta_u=np.inf,
+                                      eta_a=float(sys.argv[1])))
+rows = [(r.k, r.loss_unsup, r.loss_sup, r.f_value)
+        for r in res.trace.records]
+print(res.w_state.w.tobytes().hex(), np.array(rows).tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("eta_a", ["inf", "1"], ids=["exact", "proximal"])
+def test_full_batch_bits_do_not_depend_on_blas_threads(eta_a):
+    # every product with W runs on blocks of at most 4000 columns, and
+    # each 2469-sample trial fits in one, so 1 and 2 OpenBLAS threads
+    # give the same bytes (a whole-batch gemm of 12345 columns does not)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(solver.__file__).parents[1])}
+    outs = [subprocess.run(
+        [sys.executable, "-c", _FIT_BYTES, eta_a],
+        env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
+        text=True, check=True).stdout for threads in ("1", "2")]
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_full_size_minibatches_reproduce_full_batch(tmp_path):
     # a batch that covers the dataset takes the full batch path: same W,
     # heads and trace bytes
@@ -233,8 +268,9 @@ def test_stochastic_fit_matches_reference_loop(eta_a):
                                   FM16L, need_grad_theta=False)[1]
                  for m, model in enumerate(models)]
         b_mat = compute_B(grads, batch, times)
-        state = cyclic_sweep(state, make_a_provider(u_batch, batch), b_mat,
-                             cfg.eta_u, cfg.lam)
+        a_set = weighted_moments(u_batch, batch)
+        state = cyclic_sweep(state, a_set.__getitem__, b_mat, cfg.eta_u,
+                             cfg.lam)
         want.append(snapshot(k))
 
     assert np.array_equal(res.w_state.w, state.w)
@@ -315,8 +351,9 @@ def test_full_batch_fit_matches_reference_loop(eta_a):
         grad_s = batch_loss_grads(models[0], head_sources, labels[:, 0],
                                   FM16L, need_grad_theta=False)[1]
         b_mat = compute_B([grad_s], batch, slice(None))
-        state = cyclic_sweep(state, make_a_provider(aux, batch), b_mat,
-                             cfg.eta_u, cfg.lam)
+        a_set = weighted_moments(aux, batch)
+        state = cyclic_sweep(state, a_set.__getitem__, b_mat, cfg.eta_u,
+                             cfg.lam)
         want_aux[k] = as_nct(aux).copy()
         if k % cfg.trace_every == 0 or k == cfg.iterations:
             want.append(snapshot(k, as_nct(aux)))
@@ -510,16 +547,21 @@ def test_proximal_iterates_settle(tmp_path):
 
 # --- memory and blocking of the full-dataset passes ---
 
-@pytest.mark.parametrize("fit, bound", [(fit_stochastic, 1.2),
-                                        (fit_full_batch, 3.7)])
-def test_fit_holds_no_dataset_size_scratch(fit, bound):
+@pytest.mark.parametrize("fit, eta_a, bound", [
+    (fit_stochastic, np.inf, 1.2), (fit_full_batch, np.inf, 3.7),
+    (fit_stochastic, 0.5, 2.2), (fit_full_batch, 0.5, 4.7)],
+    ids=["fit_stochastic-1.2", "fit_full_batch-3.7",
+         "fit_stochastic-proximal-2.2", "fit_full_batch-proximal-4.7"])
+def test_fit_holds_no_dataset_size_scratch(fit, eta_a, bound):
     # the exact step keeps no aux store: beside the signals a stochastic
     # fit holds only minibatch-size arrays, a full batch fit the
     # component-major batch and its heads' features; the snapshots walk
-    # blocks of trials (4 blocks here).  Measured peaks: 0.71 and 3.17.
+    # blocks of trials (4 blocks here).  The proximal step adds its store
+    # and only block-size Newton temporaries.  Measured peaks: 0.71 and
+    # 3.17 (exact), 1.71 and 4.17 (proximal).
     ds, mixing = small_sup(n=400, c=6, t=256, m=2)
     cfg = sup_config(iterations=6, trace_every=2, eta_p=1e-6, lam=3e-5,
-                     batch_trials=32, batch_times=64)
+                     batch_trials=32, batch_times=64, eta_a=eta_a)
     tracemalloc.start()
     try:
         fit(ds, cfg, ground_truth=mixing)

@@ -14,9 +14,8 @@ from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
                                 batch_loss_grads)
 from mtsica.synthgen import gen_dataset
 from mtsica.unmixing import (FactorizationError, UnmixingState, compute_B,
-                             cyclic_sweep, make_a_provider, row_update,
-                             weighted_moments)
-from oracles import compute_A_c, per_iteration_objective
+                             cyclic_sweep, make_a_provider, row_update)
+from oracles import compute_A_c, per_iteration_objective, weighted_moments
 
 
 def full_idx(n):
@@ -110,8 +109,9 @@ def test_a_provider_matches_direct_computation():
     u = rng.uniform(0.1, 2.0, size=(4, 3, 7))
     trials = np.array([1, 3])
     times = np.array([0, 2, 5])
-    a_of = make_a_provider(component_major(u, trials, times),
-                           component_major(z, trials, times))
+    u_batch = component_major(u, trials, times).reshape(3, -1)
+    a_of = make_a_provider(np.eye(3), component_major(z, trials, times),
+                           lambda x, start, stop: u_batch[:, start:stop])
     for c in range(3):
         want = compute_A_c(u[:, c, :], z, trials, times)
         np.testing.assert_allclose(a_of(c), want, rtol=1e-12, atol=0.0)
@@ -143,9 +143,10 @@ def test_blocked_a_pass_matches_per_row_oracle(c_dim, cols):
 @pytest.mark.parametrize("c_dim", [3, 10])
 @pytest.mark.parametrize("cols", [1, 3999, 4000, 4001, 8001, 12345])
 def test_exact_pass_matches_weights_of_the_whole_batch(c_dim, cols):
-    # the blocked pass gives the bits of the exact weights of the whole
-    # batch's W z fed to weighted_moments (a one-column last block too),
-    # and the sums of |x| and of the bound at those weights
+    # the blocked pass with the exact step gives the bits of the exact
+    # weights of the whole batch's W z fed to the weighted pass (a
+    # one-column last block too), and the sums of |x| and of the bound at
+    # those weights; the step sees consecutive blocks of the columns
     rng = np.random.default_rng(cols + c_dim)
     batch = rng.laplace(size=(c_dim, cols))
     w = np.eye(c_dim) + 0.3 * rng.normal(size=(c_dim, c_dim))
@@ -153,9 +154,19 @@ def test_exact_pass_matches_weights_of_the_whole_batch(c_dim, cols):
     ax = np.abs(x)
     for u_max in (1e8, 1.0):
         sums = np.zeros(2)
-        a_set = unmixing.exact_moments(w, batch, u_max, sums)
-        assert np.array_equal(
-            a_set, weighted_moments(aux_exact(x, u_max), batch))
+        seen = []
+
+        def step(x_block, start, stop):
+            seen.append((start, stop))
+            return aux_exact(x_block, u_max, out=x_block, sums=sums)
+
+        a_of = make_a_provider(w, batch, step)
+        block = unmixing._A_BLOCK
+        assert seen == [(lo, min(lo + block, cols))
+                        for lo in range(0, cols, block)]
+        want = weighted_moments(aux_exact(x, u_max), batch)
+        for c in range(c_dim):
+            assert np.array_equal(a_of(c), want[c])
         bound = np.where(ax >= 1.0 / u_max, ax,
                          0.5 * u_max * ax * ax + 0.5 / u_max)
         np.testing.assert_allclose(sums, [ax.sum(), bound.sum()],
@@ -172,7 +183,8 @@ def test_exact_pass_sums_stay_finite_at_u_max_inf():
     w = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
     sums = np.zeros(2)
     with np.errstate(invalid="ignore"):        # 0 * inf inside the A_c
-        unmixing.exact_moments(w, batch, np.inf, sums)
+        make_a_provider(w, batch, lambda x, start, stop: aux_exact(
+            x, np.inf, out=x, sums=sums))
     assert np.all(np.isfinite(sums))
     np.testing.assert_allclose(sums, [np.abs(w @ batch).sum()] * 2,
                                rtol=1e-12, atol=0.0)
@@ -458,7 +470,8 @@ def test_sweep_converges_then_stalls():
     rng = np.random.default_rng(16)
     z = rng.normal(size=(3, 3, 50))
     u = np.ones((3, 3, 50))
-    a_of = make_a_provider(u.transpose(1, 0, 2), z.transpose(1, 0, 2))
+    a_of = weighted_moments(u.transpose(1, 0, 2),
+                            z.transpose(1, 0, 2)).__getitem__
     st = UnmixingState.from_matrix(np.eye(3))
     for _ in range(400):
         st = cyclic_sweep(st, a_of, np.zeros((3, 3)), np.inf, 0.0)
