@@ -34,7 +34,9 @@ for the next iteration.  The proximal step keeps a component-major
 weights are the columns ``cols = trials * T + times`` of its (C, N*T)
 view.  The trace snapshot and the store's initial exact pass walk the
 trials in blocks of ``max(1, _SNAP_ENTRIES // T)``, each with its own
-``W z``.
+``W z``.  These products, the heads' ``W[:M] @ sub``, the A_c pass and
+the feature DFT are gemms on the calling thread (:func:`serial_matmul`),
+so none wakes the BLAS thread pool or takes a thread-dependent kernel.
 
 All randomness (initialization, minibatch draws) comes from one
 deterministic stream seeded by ``config.seed``, consumed in a documented
@@ -56,7 +58,7 @@ from . import supervision
 from .data import Dataset, write_commented_text
 from .likelihood import (DEFAULT_U_MAX, aux_exact, aux_proximal,
                          variational_value)
-from .linalg import spectral_norm
+from .linalg import serial_matmul, spectral_norm
 from .metrics import amari_distance
 from .prng import Xoshiro256pp
 from .supervision import (FeatureMapConfig, batch_loss_grads,
@@ -347,7 +349,8 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
         aux = np.empty((channels, n_trials, samples))
         aux_flat = aux.reshape(channels, -1)
         for lo, hi in _trial_blocks(n_trials, samples):
-            aux[:, lo:hi] = np.matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
+            serial_matmul(state.w, z[lo:hi],
+                          out=aux[:, lo:hi].transpose(1, 0, 2))
         aux_exact(aux, config.u_max, out=aux)
         aux_view = aux.transpose(1, 0, 2)    # (N, C, T), for the hook
 
@@ -376,7 +379,7 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
                     np.take(sub, times_k, axis=2).transpose(1, 0, 2))
             labels_k = labels[trials_k]
             # the heads read every sample of the batch trials: (n, M, T)
-            heads = np.matmul(state.w[:n_targets], sub) if models else None
+            heads = serial_matmul(state.w[:n_targets], sub) if models else None
             if stochastic:
                 del sub
 
@@ -463,7 +466,7 @@ def _snapshot(k, state, models, z, aux, sums, labels, fm_cfg, config,
     own_sums = sums is None
     sums = np.zeros(2) if own_sums else sums
     for lo, hi in _trial_blocks(n, t) if models or own_sums else ():
-        x = np.matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
+        x = serial_matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
         for c in range(channels if own_sums else 0):
             if aux is None:
                 aux_exact(x[c], config.u_max, sums=sums)

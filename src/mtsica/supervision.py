@@ -14,7 +14,11 @@ The DFT is a matrix product: the windows of a batch are copied into one
 contiguous array and multiplied by a cached ``(window, 2 * n_bins)`` table
 ``[cos | -sin]`` (:func:`_trig`), giving the real and imaginary parts side
 by side.  The fit, dataset generation, evaluation and the rate guards all
-use this one transform.
+use this one transform.  It and its adjoint run as
+:func:`mtsica.linalg.serial_matmul`, like every gemm of the fit loop: gemms
+of at most 2^18 multiply-adds, which OpenBLAS keeps on the calling thread.
+At the feature shapes (a few hundred windows of 64 samples) a second
+thread cost more than it saved.
 
 Gradients with respect to the source signal are computed analytically by
 pushing the per-bin power gradient back through the same table (one
@@ -31,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .data import KIND_CATEGORICAL, KIND_CONTINUOUS, TargetSchema
-from .linalg import operator_norm
+from .linalg import operator_norm, serial_matmul
 from .prng import Xoshiro256pp
 
 
@@ -89,24 +93,6 @@ def _trig(window: int) -> np.ndarray:
     return table
 
 
-# Largest m*n*k of one gemm against the DFT table.  OpenBLAS runs a gemm
-# this small on the calling thread; at the feature shapes (a few hundred
-# windows of 64 samples) a second thread cost more than it saved and its
-# packing buffer added ~2.5 MB to the peak RSS of a supervised fit
-# (2-vCPU Xeon, OpenBLAS 2 threads).
-_GEMM_MNK = 1 << 18
-
-
-def _dft_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for a contiguous ``a``, one gemm per block of rows with
-    at most ``_GEMM_MNK`` multiply-adds."""
-    out = np.empty((a.shape[0], b.shape[1]))
-    step = max(1, _GEMM_MNK // (a.shape[1] * b.shape[1]))
-    for lo in range(0, a.shape[0], step):
-        np.matmul(a[lo:lo + step], b, out=out[lo:lo + step])
-    return out
-
-
 # floor added to every power before log compression
 _LOG_EPS = 1e-6
 
@@ -121,15 +107,15 @@ def _forward(batch: np.ndarray, cfg: FeatureMapConfig):
     """Feature forward pass with the context needed for the adjoint.
 
     The windows of every row are copied into one ``(B * n_windows,
-    window)`` array and multiplied by the cached :func:`_trig` table
-    (see :func:`_dft_gemm`), giving ``ri = [re | im]``.  The context is
+    window)`` array and multiplied by the cached :func:`_trig` table,
+    giving ``ri = [re | im]``.  The context is
     ``(ri, shifted)``, with ``shifted = power + _LOG_EPS`` under log
     compression and ``None`` otherwise; :func:`_adjoint_from_ctx`
     consumes it.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     frames = np.ascontiguousarray(_windowed(batch, cfg))
-    ri = _dft_gemm(frames.reshape(-1, cfg.window), _trig(cfg.window))
+    ri = serial_matmul(frames.reshape(-1, cfg.window), _trig(cfg.window))
     del frames
     n_bins = cfg.n_bins
     re, im = ri[:, :n_bins], ri[:, n_bins:]
@@ -166,7 +152,8 @@ def _adjoint_from_ctx(ctx, grad_phi: np.ndarray, n_samples: int,
     # = 2*re_k*cos(w*k*t) - 2*im_k*sin(w*k*t) = 2 * (ri_k . table[t])
     halves = ri.reshape(rows, 2, n_bins)
     halves *= v[:, None, :]
-    g_win = _dft_gemm(ri, _trig(cfg.window).T).reshape(b, n_win, cfg.window)
+    g_win = serial_matmul(ri, _trig(cfg.window).T).reshape(
+        b, n_win, cfg.window)
     grad = np.zeros((b, n_samples))
     starts = np.arange(n_win) * cfg.hop
     for j, s0 in enumerate(starts):

@@ -26,6 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .data import _own_readonly
+from .linalg import serial_matmul
 
 # the LAPACK Cholesky routines row_update calls, looked up once
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
@@ -70,10 +71,16 @@ def _eta_inv(eta_u: float) -> float:
     return 0.0 if np.isinf(eta_u) else 1.0 / eta_u
 
 
-# Batch columns per block of the A_c pass.  For C <= 10 one block's pair
-# products (at most 55 x 4000 floats) stay in a 2 MB cache; a power of two
-# is avoided because power-of-two row strides alias in cache (at C = 10 on
-# a 2-vCPU Xeon with OpenBLAS, 2048 columns ran about 35% slower than 4000).
+# Batch columns per block of the A_c pass.  For C <= 10 a block's products
+# with one row (at most 10 x 4000 floats) are still in cache when their
+# gemm reads them.  A power of two is avoided because power-of-two row
+# strides alias in cache (at C = 10 on a 2-vCPU Xeon with OpenBLAS, 2048
+# columns ran about 35% slower than 4000).  At C = 10 a block's W @ block
+# and the products' gemms (up to 400k multiply-adds) are above OpenBLAS's
+# one-thread limit of 2^18, so the pass runs them as serial_matmul.
+# Threaded, every block woke the BLAS pool, which spun beside the pass's
+# ufuncs: a full-batch fit took 1.6-2.0x its wall time in CPU and ran no
+# faster than on one thread.
 _A_BLOCK = 4000
 
 
@@ -91,18 +98,19 @@ def make_a_provider(w: np.ndarray, batch: np.ndarray, step):
     The pass walks the (C, n*tau) columns in blocks of ``_A_BLOCK``.  Each
     block gets x = W @ block once, in a reused buffer, and
     ``step(x, start, stop)`` turns it into the weights of columns
-    ``start:stop`` (it may overwrite x and return it).  The block's
-    C(C+1)/2 products z_a z_b (a <= b) fill a second reused buffer and add
-    a single matrix product with the weights, so all C matrices cost one
-    read of the batch and no (n*tau) x C^2 array is ever built.  Each A_c
-    is filled from its upper triangle and so is exactly symmetric.
+    ``start:stop`` (it may overwrite x and return it).  Then, for each
+    row a, the block's products z_a z_b (b >= a) fill a second reused
+    buffer and add one matrix product with the weights, so all C matrices
+    cost one read of the batch and no (n*tau) x C^2 array is ever built.
+    Every product stays on the calling thread (:func:`serial_matmul`).
+    Each A_c is filled from its upper triangle and so is exactly symmetric.
     """
     flat = batch.reshape(len(w), -1)
     c_dim, cols = flat.shape
     upper, lower = np.triu_indices(c_dim)
     acc = np.zeros((len(upper), c_dim))   # acc[pair, c]
-    pairs = np.empty((len(upper), min(_A_BLOCK, cols)))
-    x_buf = np.empty((c_dim, pairs.shape[1]))
+    pairs = np.empty((c_dim, min(_A_BLOCK, cols)))
+    x_buf = np.empty_like(pairs)
     for start in range(0, cols, _A_BLOCK):
         block = flat[:, start:start + _A_BLOCK]
         stop = start + block.shape[1]
@@ -112,13 +120,14 @@ def make_a_provider(w: np.ndarray, batch: np.ndarray, step):
             # whole block; two columns take the same one
             x[...] = (w @ flat[:, start - 1:stop])[:, 1:]
         else:
-            np.matmul(w, block, out=x)
-        prod = pairs[:, :block.shape[1]]
+            serial_matmul(w, block, out=x)
+        u_t = step(x, start, stop).T
         row = 0
         for a in range(c_dim):
-            np.multiply(block[a:], block[a], out=prod[row:row + c_dim - a])
+            prod = pairs[:c_dim - a, :block.shape[1]]
+            np.multiply(block[a:], block[a], out=prod)
+            acc[row:row + c_dim - a] += serial_matmul(prod, u_t)
             row += c_dim - a
-        acc += prod @ step(x, start, stop).T
     acc /= cols
     a_set = np.empty((c_dim, c_dim, c_dim))
     a_set[:, upper, lower] = acc.T

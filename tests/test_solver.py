@@ -157,33 +157,71 @@ def test_stochastic_runs_are_bit_identical():
     assert r1.models[0].theta.tobytes() == r2.models[0].theta.tobytes()
 
 
-# one full batch fit in a child process; prints the hex bytes of W and of
-# the trace's timing-free values
+# one full batch fit in a child process; prints the hex bytes of W, the
+# heads and the trace's timing-free values
 _FIT_BYTES = """
 import sys
 import numpy as np
+from mtsica.data import Dataset, TargetSchema
 from mtsica.solver import SolverConfig, fit_full_batch
 from mtsica.synthgen import gen_dataset
-ds, _ = gen_dataset("multi_trial", 0, n_trials=5, channels=16, samples=2469)
-res = fit_full_batch(ds, SolverConfig(iterations=10, eta_u=np.inf,
-                                      eta_a=float(sys.argv[1])))
+if sys.argv[1] == "supervised":   # two heads on 13 x 8001 trials
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.laplace(size=(2, 13, 8001)), rng.normal(size=(2, 2)),
+                 (TargetSchema("a", "continuous"),
+                  TargetSchema("b", "continuous")))
+    cfg = SolverConfig(iterations=3, eta_u=0.05, eta_p=1e-6, lam=1e-3,
+                       window=16, hop=8, log_power=True)
+else:
+    ds, _ = gen_dataset("multi_trial", 0, n_trials=5, channels=16,
+                        samples=2469)
+    cfg = SolverConfig(iterations=10, eta_u=np.inf,
+                       eta_a=float(sys.argv[1]))
+res = fit_full_batch(ds, cfg)
 rows = [(r.k, r.loss_unsup, r.loss_sup, r.f_value)
         for r in res.trace.records]
-print(res.w_state.w.tobytes().hex(), np.array(rows).tobytes().hex())
+print(res.w_state.w.tobytes().hex(), np.array(rows).tobytes().hex(),
+      *(m.theta.tobytes().hex() for m in res.models))
 """
 
 
-@pytest.mark.parametrize("eta_a", ["inf", "1"], ids=["exact", "proximal"])
-def test_full_batch_bits_do_not_depend_on_blas_threads(eta_a):
-    # every product with W runs on blocks of at most 4000 columns, and
-    # each 2469-sample trial fits in one, so 1 and 2 OpenBLAS threads
-    # give the same bytes (a whole-batch gemm of 12345 columns does not)
+def _child_outputs(code, *args):
+    # stdout of ``code`` run under 1 and under 2 OpenBLAS threads
     env = {**os.environ,
            "PYTHONPATH": str(Path(solver.__file__).parents[1])}
-    outs = [subprocess.run(
-        [sys.executable, "-c", _FIT_BYTES, eta_a],
+    return [subprocess.run(
+        [sys.executable, "-c", code, *args],
         env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
         text=True, check=True).stdout for threads in ("1", "2")]
+
+
+@pytest.mark.parametrize("mode", ["inf", "1", "supervised"],
+                         ids=["exact", "proximal", "supervised"])
+def test_full_batch_bits_do_not_depend_on_blas_threads(mode):
+    # every gemm of the fit runs on the calling thread (serial_matmul):
+    # the A_c pass, the snapshot's per-trial W z on 8001-sample trials,
+    # the heads' sources and the feature DFT, so 1 and 2 OpenBLAS threads
+    # give the same bytes
+    outs = _child_outputs(_FIT_BYTES, mode)
+    assert outs[0] and outs[0] == outs[1]
+
+
+# the per-trial product of the trace snapshot and of the proximal store's
+# initial fill, on one 13 x 8001 trial; prints its hex bytes
+_TRIAL_PRODUCT = """
+import numpy as np
+from mtsica.linalg import serial_matmul
+rng = np.random.default_rng(0)
+w = np.eye(13) + 0.3 * rng.normal(size=(13, 13))
+z = rng.normal(size=(1, 13, 8001))
+print(serial_matmul(w, z).tobytes().hex())
+"""
+
+
+def test_long_trial_product_does_not_depend_on_blas_threads():
+    # np.matmul(w, z) of this size (1.35M multiply-adds) runs threaded
+    # and gave other bytes under 2 threads than under 1
+    outs = _child_outputs(_TRIAL_PRODUCT)
     assert outs[0] and outs[0] == outs[1]
 
 

@@ -339,6 +339,30 @@ def test_source_lipschitz_bounds_observed_quotients():
     assert lip < 1e6 * worst        # sane order of magnitude, not a huge fudge
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_source_lipschitz_sampled_estimate_covers_fresh_pairs(seed):
+    # a categorical head on raw powers takes the sampled path: 48 pairs
+    # drawn in the ball, times a safety factor.  Pairs drawn the same way
+    # from another stream must not beat it; at these seeds their largest
+    # quotient is 1.05-1.31x the sampled one, so the factor is needed
+    cfg = FeatureMapConfig(window=8, hop=4)
+    rng = np.random.default_rng(seed)
+    t_len, radius = 16, 6.0
+    model = SupervisedTargetModel(CAT3,
+                                  rng.normal(size=(3, cfg.dim(t_len))))
+    lip = source_lipschitz(model, cfg, t_len, radius, 0.0)
+    worst = 0.0
+    for _ in range(400):
+        pair = rng.normal(size=(2, t_len))
+        pair *= (radius * rng.uniform(size=2)
+                 / np.linalg.norm(pair, axis=1))[:, None]
+        _, grads, _ = batch_loss_grads(model, pair, np.zeros(2), cfg,
+                                       need_grad_theta=False)
+        worst = max(worst, float(np.linalg.norm(grads[0] - grads[1])
+                                 / np.linalg.norm(pair[0] - pair[1])))
+    assert worst <= lip
+
+
 def test_source_lipschitz_closed_form_uses_exact_norm_of_m():
     # <theta, phi(s)> = s^T M s: the rows of M are the half-gradients at
     # the unit vectors, pushed through the forward and the adjoint
