@@ -8,7 +8,9 @@ given the same seed.  Two implementations are provided:
   used for solver-side draws (initialization, minibatch index sampling).
 * :class:`Xoshiro256ppStreams` — a vectorized multi-stream generator backed
   by ``uint64`` arrays, used for bulk synthetic-data generation where many
-  independent per-trial streams advance in lockstep.
+  independent per-trial streams advance in lockstep.  It steps its state
+  in place, keeps the two state words each output reads, and scrambles and
+  transforms the outputs a chunk of about ``2**12`` entries at a time.
 
 Both implement the same algorithm; a scalar stream and a one-stream
 vectorized generator seeded identically produce identical uint64 output.
@@ -23,6 +25,11 @@ _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest double below 1.0
+# the shift and rotation counts of the vectorized step and scrambler
+_U17, _U19, _U23, _U41, _U45 = (np.uint64(k) for k in (17, 19, 23, 41, 45))
+# streams x steps per chunk of Xoshiro256ppStreams draws: the chunk's
+# temporaries stay this many entries whatever the dataset's size
+_CHUNK_ENTRIES = 1 << 12
 
 
 def splitmix64_mix(x: int) -> int:
@@ -159,9 +166,10 @@ class Xoshiro256pp:
 class Xoshiro256ppStreams:
     """Vectorized xoshiro256++: many independent streams advancing together.
 
-    State is a ``(n_streams, 4)`` uint64 array.  Each method call advances
-    every stream by the same number of steps, so per-stream output sequences
-    are independent of how many sibling streams exist.
+    State is a ``(4, n_streams)`` uint64 array, one contiguous row per state
+    word, stepped in place.  Each method call advances every stream by the
+    same number of steps, so per-stream output sequences are independent of
+    how many sibling streams exist.
     """
 
     def __init__(self, seeds):
@@ -169,12 +177,12 @@ class Xoshiro256ppStreams:
         if seeds.ndim != 1:
             raise ValueError("seeds must be one-dimensional")
         self.n_streams = int(seeds.shape[0])
-        state = np.empty((self.n_streams, 4), dtype=np.uint64)
+        state = np.empty((4, self.n_streams), dtype=np.uint64)
         x = seeds.copy()
         gamma = np.uint64(_GAMMA)
         for i in range(4):
             x = x + gamma  # uint64 wraparound intended
-            state[:, i] = self._mix(x)
+            state[i] = self._mix(x)
         self._state = state
 
     @classmethod
@@ -189,24 +197,59 @@ class Xoshiro256ppStreams:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
+    def _u64_chunks(self, count: int):
+        """Advance every stream ``count`` steps; yields ``(j0, u64)``, the
+        outputs of steps ``j0, j0 + 1, ...`` as a ``(steps, n_streams)``
+        array, in chunks of ``max(1, _CHUNK_ENTRIES // n_streams)`` steps.
+
+        The one vectorized xoshiro256++ step: every draw of this class comes
+        from here.  A step updates the state rows in place and records only
+        the words the output reads, s0 and s3; the scrambler
+        ``rotl(s0 + s3, 23) + s0`` then runs once over the chunk.  The state
+        is past a chunk's last step when the chunk is yielded.
+        """
+        s0, s1, s2, s3 = self._state
+        steps = max(1, _CHUNK_ENTRIES // self.n_streams)
+        t = np.empty(self.n_streams, dtype=np.uint64)
+        for j0 in range(0, count, steps):
+            m = min(steps, count - j0)
+            x = np.empty((m, self.n_streams), dtype=np.uint64)
+            w0 = np.empty_like(x)
+            for k in range(m):
+                w0[k] = s0
+                x[k] = s3
+                np.left_shift(s1, _U17, out=t)
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                np.right_shift(s3, _U19, out=t)
+                s3 <<= _U45
+                s3 |= t
+            x += w0
+            hi = x >> _U41
+            x <<= _U23
+            x |= hi
+            x += w0
+            yield j0, x
+
     def next_u64(self) -> np.ndarray:
         """Advance all streams one step; returns ``(n_streams,)`` uint64."""
-        s = self._state
-        x = s[:, 0] + s[:, 3]
-        result = ((x << np.uint64(23)) | (x >> np.uint64(41))) + s[:, 0]
-        t = s[:, 1] << np.uint64(17)
-        s[:, 2] ^= s[:, 0]
-        s[:, 3] ^= s[:, 1]
-        s[:, 1] ^= s[:, 2]
-        s[:, 0] ^= s[:, 3]
-        s[:, 2] ^= t
-        s[:, 3] = (s[:, 3] << np.uint64(45)) | (s[:, 3] >> np.uint64(19))
-        return result
+        ((_, u64),) = self._u64_chunks(1)
+        return u64[0]
 
     def laplace_block(self, count: int) -> np.ndarray:
-        """Per-stream Laplace(0, 1) draws; returns ``(n_streams, count)``."""
+        """Per-stream Laplace(0, 1) draws; returns ``(n_streams, count)``.
+
+        Entry ``[i, j]`` is ``-sign(v) * log1p(-2|v|)`` with
+        ``v = _open_unit(u) - 0.5`` of stream i's j-th output: the inverse
+        CDF, applied to one chunk of :meth:`_u64_chunks` at a time, so the
+        temporaries stay chunk-sized whatever ``count`` is.
+        """
         out = np.empty((self.n_streams, count))
-        for j in range(count):
-            v = _open_unit(self.next_u64()) - 0.5
-            out[:, j] = -np.sign(v) * np.log1p(-2.0 * np.abs(v))
+        for j0, u64 in self._u64_chunks(count):
+            v = _open_unit(u64) - 0.5
+            lap = -np.sign(v) * np.log1p(-2.0 * np.abs(v))
+            out[:, j0:j0 + len(lap)] = lap.T
         return out

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtsica.prng import (Xoshiro256pp, Xoshiro256ppStreams, _open_unit,
-                         derive_stream_seed, splitmix64_mix)
+from mtsica.prng import (_CHUNK_ENTRIES, Xoshiro256pp, Xoshiro256ppStreams,
+                         _open_unit, derive_stream_seed, splitmix64_mix)
 from oracles import laplaces, normals_per_pair, subset_full_list
 
 
@@ -128,10 +128,35 @@ def test_laplace_block_matches_scalar_laplaces():
         assert np.array_equal(block[i], scalar)
 
 
+@pytest.mark.parametrize("n_streams, count", [
+    (1, _CHUNK_ENTRIES + 5),              # one full chunk and a short one
+    (3, 2 * (_CHUNK_ENTRIES // 3) + 7),   # two full chunks and a short one
+    (_CHUNK_ENTRIES + 1, 3),              # above the budget: a step a chunk
+])
+def test_laplace_block_matches_scalar_laplaces_across_chunks(n_streams,
+                                                             count):
+    # every chunk boundary keeps the per-draw bits, and the state after the
+    # block is the scalar stream's after `count` draws
+    seed = 31
+    streams = Xoshiro256ppStreams.per_index(seed, n_streams)
+    block = streams.laplace_block(count)
+    after = streams.next_u64()
+    scalars = [Xoshiro256pp(derive_stream_seed(seed, i))
+               for i in range(n_streams)]
+    want = np.array([laplaces(s, count) for s in scalars])
+    assert np.array_equal(block, want)
+    assert after.tolist() == [s.next_u64() for s in scalars]
+
+
 def test_streams_independent_of_sibling_count():
     # stream 0 of a 1-stream pack equals stream 0 of an 8-stream pack
     one = Xoshiro256ppStreams.per_index(9, 1).laplace_block(16)[0]
     eight = Xoshiro256ppStreams.per_index(9, 8).laplace_block(16)[0]
+    assert np.array_equal(one, eight)
+    # also across chunks: 8 streams take 8x fewer steps a chunk than 1
+    count = _CHUNK_ENTRIES // 8 + 9
+    one = Xoshiro256ppStreams.per_index(9, 1).laplace_block(count)[0]
+    eight = Xoshiro256ppStreams.per_index(9, 8).laplace_block(count)[0]
     assert np.array_equal(one, eight)
 
 

@@ -144,16 +144,18 @@ def test_gen_dataset_deterministic_and_prefix_stable():
 
 def test_gen_dataset_keeps_one_copy_of_the_signals():
     # the sources and the signals coexist once; the dataset keeps the
-    # signals it is given instead of copying them
-    tracemalloc.start()
-    try:
-        ds, _ = gen_dataset("multi_trial", 3, n_trials=40, channels=6,
-                            samples=500)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not ds.signals.flags.writeable
-    assert peak <= 2.1 * ds.signals.nbytes
+    # signals it is given instead of copying them.  Many short trials and
+    # few long ones pin the source draw's chunk temporaries at both ends.
+    for n_trials, channels, samples in [(40, 6, 500), (2, 13, 8001)]:
+        tracemalloc.start()
+        try:
+            ds, _ = gen_dataset("multi_trial", 3, n_trials=n_trials,
+                                channels=channels, samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not ds.signals.flags.writeable
+        assert peak <= 2.1 * ds.signals.nbytes
 
 
 def test_gen_dataset_feature_config_reaches_labels():
