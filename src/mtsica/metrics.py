@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .linalg import serial_matmul
 from .supervision import FeatureMapConfig, predict_batch
 
 
@@ -140,8 +141,9 @@ def evaluate_predictions(w: np.ndarray, models, dataset: Dataset,
         trial_indices = np.arange(dataset.n_trials)
     trial_indices = np.asarray(trial_indices, dtype=np.int64)
     z = dataset.signals[trial_indices]
-    # the fit's formulation: every head's sources from one product, (n, M, T)
-    sources = np.matmul(np.asarray(w)[:len(models)], z)
+    # the fit's formulation: every head's sources from one product on the
+    # calling thread, (n, M, T)
+    sources = serial_matmul(np.asarray(w)[:len(models)], z)
     out = []
     for m, model in enumerate(models):
         pred = predict_batch(model, sources[:, m], fm_cfg)

@@ -2,15 +2,19 @@
 
 Every random draw in this package flows through the xoshiro256++ generator
 seeded via splitmix64, so results are reproducible bit-for-bit across runs
-given the same seed.  Two implementations are provided:
+given the same seed.  One splitmix64 body, on ``uint64`` arrays, scrambles
+every seed: the state words of both generators and the stream seeds of
+:func:`derive_stream_seed`.  Two generators are provided:
 
 * :class:`Xoshiro256pp` — a scalar generator backed by Python integers,
   used for solver-side draws (initialization, minibatch index sampling).
 * :class:`Xoshiro256ppStreams` — a vectorized multi-stream generator backed
   by ``uint64`` arrays, used for bulk synthetic-data generation where many
-  independent per-trial streams advance in lockstep.  It steps its state
-  in place, keeps the two state words each output reads, and scrambles and
-  transforms the outputs a chunk of about ``2**12`` entries at a time.
+  independent per-trial streams advance in lockstep.  Stream i of
+  ``Xoshiro256ppStreams(seed, n)`` is seeded by
+  ``derive_stream_seed(seed, i)``.  It steps its state in place, keeps the
+  two state words each output reads, and scrambles and transforms the
+  outputs a chunk of about ``2**12`` entries at a time.
 
 Both implement the same algorithm; a scalar stream and a one-stream
 vectorized generator seeded identically produce identical uint64 output.
@@ -21,23 +25,46 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64 increment
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest double below 1.0
-# the shift and rotation counts of the vectorized step and scrambler
-_U17, _U19, _U23, _U41, _U45 = (np.uint64(k) for k in (17, 19, 23, 41, 45))
+# the shift and rotation counts of splitmix64 and of the vectorized
+# xoshiro256++ step and scrambler
+_U17, _U19, _U23, _U27, _U30, _U31, _U41, _U45 = (
+    np.uint64(k) for k in (17, 19, 23, 27, 30, 31, 41, 45))
 # streams x steps per chunk of Xoshiro256ppStreams draws: the chunk's
 # temporaries stay this many entries whatever the dataset's size
 _CHUNK_ENTRIES = 1 << 12
 
 
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 output scrambler of every entry of a uint64 array.
+
+    Products wrap modulo 2**64; numpy warns at a wrap of a scalar or 0-d
+    array, so callers pass arrays of at least one dimension.
+    """
+    z = (x ^ (x >> _U30)) * _MIX1
+    z = (z ^ (z >> _U27)) * _MIX2
+    return z ^ (z >> _U31)
+
+
+def _stream_seeds(seed: int, indices) -> np.ndarray:
+    """``derive_stream_seed(seed, i)`` of every i in ``indices``, as uint64."""
+    spread = np.asarray(indices, dtype=np.uint64) * _GAMMA
+    return _splitmix64(spread ^ np.uint64(seed & _MASK64))
+
+
+def _seed_state(seeds: np.ndarray) -> np.ndarray:
+    """The xoshiro256++ state of each uint64 seed: its first four splitmix64
+    outputs, as a C-contiguous ``(4, n)`` array (column j seeds stream j)."""
+    steps = np.arange(1, 5, dtype=np.uint64) * _GAMMA
+    return _splitmix64(steps[:, None] + seeds)
+
+
 def splitmix64_mix(x: int) -> int:
     """Apply the splitmix64 output scrambler to a 64-bit value."""
-    z = x & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return int(_splitmix64(np.array([x & _MASK64], dtype=np.uint64))[0])
 
 
 def derive_stream_seed(seed: int, index: int) -> int:
@@ -46,7 +73,7 @@ def derive_stream_seed(seed: int, index: int) -> int:
     The index is spread by the splitmix64 increment before xor-ing so that
     consecutive indices land far apart in seed space.
     """
-    return splitmix64_mix((seed ^ ((index * _GAMMA) & _MASK64)) & _MASK64)
+    return int(_stream_seeds(seed, [index & _MASK64])[0])
 
 
 def _open_unit(u64: np.ndarray) -> np.ndarray:
@@ -55,16 +82,6 @@ def _open_unit(u64: np.ndarray) -> np.ndarray:
     round up to 1.0 and maps to the largest double below it instead."""
     u = ((u64 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return np.minimum(u, _BELOW_ONE, out=u)
-
-
-def _splitmix64_expand(seed: int, n: int) -> list[int]:
-    # successive splitmix64 outputs used to fill generator state
-    out = []
-    x = seed & _MASK64
-    for _ in range(n):
-        x = (x + _GAMMA) & _MASK64
-        out.append(splitmix64_mix(x))
-    return out
 
 
 class Xoshiro256pp:
@@ -79,8 +96,8 @@ class Xoshiro256pp:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        s = _splitmix64_expand(self.seed, 4)
-        self._s0, self._s1, self._s2, self._s3 = s
+        state = _seed_state(np.array([self.seed & _MASK64], dtype=np.uint64))
+        self._s0, self._s1, self._s2, self._s3 = (int(w) for w in state[:, 0])
 
     def _u64s(self, n: int) -> list[int]:
         """Advance the state ``n`` steps; returns the ``n`` outputs in order.
@@ -166,36 +183,16 @@ class Xoshiro256pp:
 class Xoshiro256ppStreams:
     """Vectorized xoshiro256++: many independent streams advancing together.
 
-    State is a ``(4, n_streams)`` uint64 array, one contiguous row per state
-    word, stepped in place.  Each method call advances every stream by the
-    same number of steps, so per-stream output sequences are independent of
-    how many sibling streams exist.
+    Stream i is seeded by ``derive_stream_seed(seed, i)``; one array step
+    derives them all.  State is a ``(4, n_streams)`` uint64 array, one
+    contiguous row per state word, stepped in place.  Each method call
+    advances every stream by the same number of steps, so per-stream output
+    sequences are independent of how many sibling streams exist.
     """
 
-    def __init__(self, seeds):
-        seeds = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
-        if seeds.ndim != 1:
-            raise ValueError("seeds must be one-dimensional")
-        self.n_streams = int(seeds.shape[0])
-        state = np.empty((4, self.n_streams), dtype=np.uint64)
-        x = seeds.copy()
-        gamma = np.uint64(_GAMMA)
-        for i in range(4):
-            x = x + gamma  # uint64 wraparound intended
-            state[i] = self._mix(x)
-        self._state = state
-
-    @classmethod
-    def per_index(cls, seed: int, n_streams: int) -> "Xoshiro256ppStreams":
-        """Streams seeded by :func:`derive_stream_seed` (seed, 0..n-1)."""
-        seeds = [derive_stream_seed(seed, i) for i in range(n_streams)]
-        return cls(np.array(seeds, dtype=np.uint64))
-
-    @staticmethod
-    def _mix(z: np.ndarray) -> np.ndarray:
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    def __init__(self, seed: int, n_streams: int):
+        self.n_streams = int(n_streams)
+        self._state = _seed_state(_stream_seeds(seed, np.arange(n_streams)))
 
     def _u64_chunks(self, count: int):
         """Advance every stream ``count`` steps; yields ``(j0, u64)``, the
@@ -233,11 +230,6 @@ class Xoshiro256ppStreams:
             x |= hi
             x += w0
             yield j0, x
-
-    def next_u64(self) -> np.ndarray:
-        """Advance all streams one step; returns ``(n_streams,)`` uint64."""
-        ((_, u64),) = self._u64_chunks(1)
-        return u64[0]
 
     def laplace_block(self, count: int) -> np.ndarray:
         """Per-stream Laplace(0, 1) draws; returns ``(n_streams, count)``.

@@ -32,11 +32,13 @@ the bound at those weights for the new W's trace row, and the A_c wait
 for the next iteration.  The proximal step keeps a component-major
 (C, N, T) store and writes each block's weights back to it: a batch's
 weights are the columns ``cols = trials * T + times`` of its (C, N*T)
-view.  The trace snapshot and the store's initial exact pass walk the
-trials in blocks of ``max(1, _SNAP_ENTRIES // T)``, each with its own
-``W z``.  These products, the heads' ``W[:M] @ sub``, the A_c pass and
-the feature DFT are gemms on the calling thread (:func:`serial_matmul`),
-so none wakes the BLAS thread pool or takes a thread-dependent kernel.
+view.  The trace snapshot walks the trials in blocks of
+``max(1, _SNAP_ENTRIES // T)``, each with its own ``W z``; row 0's walk
+also fills the store with the exact weights of W0, so it is the only pass
+over the dataset before iteration 1.  These products, the heads'
+``W[:M] @ sub``, the A_c pass and the feature DFT are gemms on the
+calling thread (:func:`serial_matmul`), so none wakes the BLAS thread pool
+or takes a thread-dependent kernel.
 
 All randomness (initialization, minibatch draws) comes from one
 deterministic stream seeded by ``config.seed``, consumed in a documented
@@ -69,8 +71,8 @@ from .unmixing import (FactorizationError, UnmixingState, compute_B,
 
 _LOGDET_FLOOR_PER_CHANNEL = -50.0  # abort when log|det W| < floor * C
 _GUARD_RADIUS_FACTOR = 4.0  # rate-guard ball radius / largest |z_i|_2
-# entries per component of one block of trials in the snapshot and the
-# proximal store's initial pass: a component's temporaries stay in cache
+# entries per component of one block of trials in the trace snapshot: a
+# component's temporaries stay in cache
 _SNAP_ENTRIES = 1 << 15
 
 
@@ -301,7 +303,8 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
     A batch smaller than the dataset is drawn afresh each iteration
     (without replacement, sorted); the proximal step refreshes the stored
     weights only at sampled entries, and unsampled entries carry over from
-    earlier iterations (all start from one exact pass at the initial W).
+    earlier iterations (all start at the exact weights of the initial W,
+    set by the walk of trace row 0).
     A batch that covers the dataset is the full batch fit, which draws
     nothing.
 
@@ -345,13 +348,9 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
     else:
         # the proximal step's store is component-major, (C, N, T); a
         # batch's aux block is the columns ``cols`` of its (C, N*T) view.
-        # W z goes into it one block at a time, then one exact pass.
+        # Row 0's walk fills it with the exact weights of W0.
         aux = np.empty((channels, n_trials, samples))
         aux_flat = aux.reshape(channels, -1)
-        for lo, hi in _trial_blocks(n_trials, samples):
-            serial_matmul(state.w, z[lo:hi],
-                          out=aux[:, lo:hi].transpose(1, 0, 2))
-        aux_exact(aux, config.u_max, out=aux)
         aux_view = aux.transpose(1, 0, 2)    # (N, C, T), for the hook
 
         def step(x, start, stop):
@@ -361,9 +360,51 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
             return u
 
     def record(k):
-        trace.records.append(_snapshot(
-            k, state, models, z, aux, sums, labels, fm_cfg, config,
-            ground_truth, t_start))
+        """Append the full-dataset objective values at the current W and
+        theta.  ``sums``, when set, holds the sums of |W z| and of the
+        bound; else they are added up here over blocks of trials
+        (:func:`_trial_blocks`) in order, one component at a time, at the
+        exact weights of W or at the stored ones, which row 0's walk sets
+        to those of W0.  The heads' per-trial losses go into one (N,) array
+        per head, summed once at the end.  A ``W @ ground_truth`` that
+        :func:`amari_distance` cannot score (it overflowed) raises
+        :class:`FactorizationError`.
+        """
+        head_losses = np.empty((n_targets, n_trials))
+        totals = np.zeros(2) if sums is None else sums
+        for lo, hi in (_trial_blocks(n_trials, samples)
+                       if models or sums is None else ()):
+            x = serial_matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
+            for c in range(channels if sums is None else 0):
+                if exact:
+                    aux_exact(x[c], config.u_max, sums=totals)
+                    continue
+                if k == 0:    # the store starts at the exact weights of W0
+                    aux_exact(x[c], config.u_max, out=aux[c, lo:hi])
+                totals += (np.abs(x[c]).sum(),
+                           variational_value(x[c], aux[c, lo:hi]).sum())
+            for m, model in enumerate(models):
+                head_losses[m, lo:hi] = batch_loss_grads(
+                    model, x[m], labels[lo:hi, m], fm_cfg, need_grad_s=False,
+                    need_grad_theta=False)[0]
+            del x  # one block of sources alive at a time
+        loss_sup = 0.0
+        for losses in head_losses:
+            loss_sup += float(losses.sum() / n_trials)
+        scale = n_trials * samples
+        f_value = float(-state.logabsdet + totals[1] / scale
+                        + config.lam * loss_sup
+                        + 0.5 * config.mu * sum(
+                            float(np.sum(m.theta ** 2)) for m in models))
+        amari = None
+        if ground_truth is not None:
+            try:
+                amari = float(amari_distance(state.w, ground_truth))
+            except ValueError as e:
+                raise FactorizationError(f"{e} at iteration {k}") from e
+        trace.records.append(TraceRecord(
+            k, float(-state.logabsdet + totals[0] / scale), loss_sup,
+            f_value, amari, (time.perf_counter() - t_start) * 1000.0))
 
     try:
         record(0)
@@ -445,52 +486,3 @@ def _trial_blocks(n_trials, samples):
     trials (at least one; the last block may be shorter)."""
     step = max(1, _SNAP_ENTRIES // samples)
     return [(lo, min(lo + step, n_trials)) for lo in range(0, n_trials, step)]
-
-
-def _snapshot(k, state, models, z, aux, sums, labels, fm_cfg, config,
-              ground_truth, t_start) -> TraceRecord:
-    """Full-dataset objective values at the current W and theta.
-
-    ``z`` is the (N, C, T) data and ``aux`` the proximal step's (C, N, T)
-    store, or ``None`` for the exact weights of W.  ``sums`` holds the sums
-    of |W z| and of the bound over the dataset, or ``None`` to add them up
-    here over blocks of trials (:func:`_trial_blocks`) in order, one
-    component at a time.  A block's ``W z`` is computed when the sums or
-    the heads need it; the heads' per-trial losses go into one (N,) array
-    per head, summed once at the end.  A ``W @ ground_truth`` that
-    :func:`amari_distance` cannot score (it overflowed) raises
-    :class:`FactorizationError`.
-    """
-    n, channels, t = z.shape
-    head_losses = np.empty((len(models), n))
-    own_sums = sums is None
-    sums = np.zeros(2) if own_sums else sums
-    for lo, hi in _trial_blocks(n, t) if models or own_sums else ():
-        x = serial_matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
-        for c in range(channels if own_sums else 0):
-            if aux is None:
-                aux_exact(x[c], config.u_max, sums=sums)
-            else:
-                sums += (np.abs(x[c]).sum(),
-                         variational_value(x[c], aux[c, lo:hi]).sum())
-        for m, model in enumerate(models):
-            head_losses[m, lo:hi] = batch_loss_grads(
-                model, x[m], labels[lo:hi, m], fm_cfg, need_grad_s=False,
-                need_grad_theta=False)[0]
-        del x  # one block of sources alive at a time
-    loss_sup = 0.0
-    for losses in head_losses:
-        loss_sup += float(losses.sum() / n)
-    loss_unsup = float(-state.logabsdet + sums[0] / (n * t))
-    f_value = float(-state.logabsdet + sums[1] / (n * t)
-                    + config.lam * loss_sup
-                    + 0.5 * config.mu * sum(
-                        float(np.sum(m.theta ** 2)) for m in models))
-    amari = None
-    if ground_truth is not None:
-        try:
-            amari = float(amari_distance(state.w, ground_truth))
-        except ValueError as e:
-            raise FactorizationError(f"{e} at iteration {k}") from e
-    wall_ms = (time.perf_counter() - t_start) * 1000.0
-    return TraceRecord(k, loss_unsup, loss_sup, f_value, amari, wall_ms)

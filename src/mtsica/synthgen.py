@@ -47,7 +47,7 @@ def gen_laplace_sources(n_trials: int, channels: int, samples: int,
     Trial i is filled row-major from its own stream
     ``derive_stream_seed(seed, i)``.
     """
-    streams = Xoshiro256ppStreams.per_index(seed, n_trials)
+    streams = Xoshiro256ppStreams(seed, n_trials)
     block = streams.laplace_block(channels * samples)
     return block.reshape(n_trials, channels, samples)
 

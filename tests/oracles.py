@@ -71,6 +71,20 @@ def unsup_loss(logabsdet, sources):
     return float(-logabsdet + np.abs(sources).sum() / t)
 
 
+def splitmix64_outputs(seed, n):
+    """The first ``n`` outputs of a splitmix64 generator seeded by ``seed``,
+    in Python integers: each adds the increment to the state and scrambles
+    it.  ``Xoshiro256pp(seed)`` starts from the first four."""
+    mask = (1 << 64) - 1
+    out, x = [], seed & mask
+    for _ in range(n):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def subset_full_list(rng, n_total, n_draw):
     """``Xoshiro256pp.subset`` as a partial Fisher-Yates swap over the
     whole list ``range(n_total)``, sorted."""

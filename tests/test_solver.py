@@ -225,6 +225,33 @@ def test_long_trial_product_does_not_depend_on_blas_threads():
     assert outs[0] and outs[0] == outs[1]
 
 
+# a head per channel scored on 13 x 8001 trials; prints each score's hex
+_EVAL_SCORES = """
+import numpy as np
+from mtsica.data import Dataset, TargetSchema
+from mtsica.metrics import evaluate_predictions
+from mtsica.prng import Xoshiro256pp
+from mtsica.supervision import FeatureMapConfig, init_model
+rng = np.random.default_rng(0)
+targets = tuple(TargetSchema(f"y{m}", "continuous") for m in range(13))
+ds = Dataset(rng.laplace(size=(4, 13, 8001)), rng.normal(size=(4, 13)),
+             targets)
+w = np.eye(13) + 0.3 * rng.normal(size=(13, 13))
+fm = FeatureMapConfig(window=16, hop=5, log_power=True)   # reads t = 8000
+models = [init_model(t, fm.dim(8001), Xoshiro256pp(m), 0.1)
+          for m, t in enumerate(targets)]
+print(*(float(r.value).hex() for r in evaluate_predictions(w, models, ds, fm)))
+"""
+
+
+def test_eval_head_sources_do_not_depend_on_blas_threads():
+    # eval forms the heads' sources as the fit does, one product on the
+    # calling thread, so 1 and 2 OpenBLAS threads give the same scores;
+    # np.matmul of these 13 rows runs threaded and gave other bytes
+    outs = _child_outputs(_EVAL_SCORES)
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_full_size_minibatches_reproduce_full_batch(tmp_path):
     # a batch that covers the dataset takes the full batch path: same W,
     # heads and trace bytes

@@ -38,6 +38,7 @@ def test_sources_match_unit_laplace_statistics():
     assert abs(np.mean(np.abs(x)) - 1.0) < 0.01             # E|x| = 1
     assert abs(np.mean(x)) < 4 * np.sqrt(2.0 / x.size)      # 4 sigma
     assert abs(np.var(x) - 2.0) < 0.05
+    assert abs(np.mean(x > 0) - 0.5) < 0.005                # symmetric tails
 
 
 # --- mixing matrices ---
@@ -146,7 +147,7 @@ def test_gen_dataset_keeps_one_copy_of_the_signals():
     # the sources and the signals coexist once; the dataset keeps the
     # signals it is given instead of copying them.  Many short trials and
     # few long ones pin the source draw's chunk temporaries at both ends.
-    for n_trials, channels, samples in [(40, 6, 500), (2, 13, 8001)]:
+    for n_trials, channels, samples in [(40, 6, 500), (4, 13, 1001)]:
         tracemalloc.start()
         try:
             ds, _ = gen_dataset("multi_trial", 3, n_trials=n_trials,
