@@ -31,7 +31,7 @@ from . import __version__
 from .data import (Dataset, DatasetFormatError, concat_trials, load_dataset,
                    preprocess, read_matrix_f64, save_dataset,
                    write_commented_text, write_matrix_f64, write_matrix_text)
-from .metrics import amari_distance, evaluate_predictions, fobi
+from .metrics import amari_distance, check_mixing, evaluate_predictions, fobi
 # fit_full_batch is unused here; the benchmark harness's tracer patches it
 from .solver import (SolverAbort, SolverConfig, check_inputs, fit_full_batch,
                      fit_stochastic)
@@ -178,8 +178,11 @@ def _read_run_options(opts: dict, dataset: Dataset):
     config = build_solver_config(opts)
     extras = {k: bool(opts.get(k, False)) for k in _RUN_KEYS}
     if extras["preprocess_center"] or extras["preprocess_rescale"]:
-        dataset, _ = preprocess(dataset, center=extras["preprocess_center"],
-                                rescale=extras["preprocess_rescale"])
+        try:
+            dataset = preprocess(dataset, center=extras["preprocess_center"],
+                                 rescale=extras["preprocess_rescale"])
+        except ValueError as e:  # --rescale of all-zero signals
+            raise CliError(f"invalid preprocessing: {e}") from e
     return config, extras, dataset
 
 
@@ -247,12 +250,7 @@ def _load_run_inputs(args):
         candidate = Path(args.data) / "mixing.f64"
         if candidate.is_file():
             gt_path = candidate
-    ground_truth = None
-    if gt_path is not None:
-        try:
-            ground_truth = read_matrix_f64(gt_path)
-        except (DatasetFormatError, OSError) as e:
-            raise CliError(f"bad mixing file {gt_path}: {e}") from e
+    ground_truth = None if gt_path is None else _read_matrix_checked(gt_path)
     return dataset, config, extras, ground_truth
 
 
@@ -304,37 +302,34 @@ def _run_single_fit(dataset, config, extras, ground_truth, out_dir,
 
 def cmd_fit(args) -> int:
     dataset, config, extras, ground_truth = _load_run_inputs(args)
-    if args.seeds is None:
-        seeds = [config.seed]
+    if args.seeds is None:  # a single fit is a sweep of one, into --out
+        runs = {config.seed: Path(args.out)}
     else:
         lo, hi = _parse_seed_range(args.seeds)
-        seeds = list(range(lo, hi + 1))
-    for s in seeds:  # every seed before any run directory is made
+        runs = {s: Path(args.out) / f"seed_{s}" for s in range(lo, hi + 1)}
+    for s in runs:  # every seed before any run directory is made
         _check_inputs(args.data, dataset, replace(config, seed=s),
                       ground_truth)
-    if args.seeds is None:
-        result = _run_single_fit(dataset, config, extras, ground_truth,
-                                 args.out, args.timing)
+    failures = []
+    for s, out in runs.items():
+        result = _run_single_fit(dataset, replace(config, seed=s), extras,
+                                 ground_truth, out, args.timing)
         if result is None:
-            print("fit aborted numerically; partial outputs written",
-                  file=sys.stderr)
-            return EXIT_NUMERICAL
+            failures.append(s)
+    if args.seeds is not None:
+        print(f"seed sweep {lo}..{hi}: {len(runs) - len(failures)} ok, "
+              f"{len(failures)} aborted")
+    elif not failures:
         final = result.trace.final()
         msg = (f"fit done: k={final.k} loss_unsup={final.loss_unsup:.6g} "
                f"loss_sup={final.loss_sup:.6g}")
         if final.amari is not None:
             msg += f" amari={final.amari:.6g}"
         print(msg)
-        return EXIT_OK
-
-    failures = [s for s in seeds
-                if _run_single_fit(dataset, replace(config, seed=s), extras,
-                                   ground_truth, Path(args.out) / f"seed_{s}",
-                                   args.timing) is None]
-    print(f"seed sweep {lo}..{hi}: {len(seeds) - len(failures)} ok, "
-          f"{len(failures)} aborted")
     if failures:
-        print(f"aborted seeds: {failures}", file=sys.stderr)
+        print(f"aborted seeds: {failures}" if args.seeds is not None else
+              "fit aborted numerically; partial outputs written",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -427,6 +422,10 @@ def cmd_baseline(args) -> int:
     if not Path(mixing_path).is_file():
         raise CliError(f"no mixing ground truth at {mixing_path}; pass --mixing")
     mixing = _read_matrix_checked(mixing_path)
+    try:  # before any FOBI, which would end in amari_distance
+        check_mixing(mixing, dataset.channels)
+    except ValueError as e:
+        raise CliError(f"bad mixing file {mixing_path}: {e}") from e
     comments = [f"mtsica {__version__} baseline (fobi, {args.mode})",
                 f"data={args.data}", f"mixing={mixing_path}"]
     if args.mode == "per_trial":

@@ -16,6 +16,8 @@ same dataset twice produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,7 +177,7 @@ def concat_trials(dataset: Dataset) -> np.ndarray:
 
 
 def preprocess(dataset: Dataset, center: bool = False,
-               rescale: bool = False) -> tuple[Dataset, dict]:
+               rescale: bool = False) -> Dataset:
     """Optional preprocessing applied uniformly across all trials.
 
     ``center`` subtracts the per-channel mean pooled over trials and time.
@@ -185,24 +187,22 @@ def preprocess(dataset: Dataset, center: bool = False,
     single effective mixing matrix still relates sources to signals and
     mixing-recovery metrics remain comparable.
 
-    Returns the transformed dataset and an info dict with the applied
-    ``channel_means`` and ``scale``.
+    Raises
+    ------
+    ValueError
+        If ``rescale`` meets signals that are zero everywhere.
     """
     sig = np.array(dataset.signals)  # writable copy
-    info: dict = {"channel_means": None, "scale": 1.0}
     if center:
-        means = sig.mean(axis=(0, 2))
-        sig -= means[None, :, None]
-        info["channel_means"] = means
+        sig -= sig.mean(axis=(0, 2))[None, :, None]
     if rescale:
         sq = [spectral_norm(sig[i]) ** 2 for i in range(sig.shape[0])]
         scale = float(np.sqrt(np.mean(sq)))
         if scale <= 0.0:
             raise ValueError("cannot rescale all-zero signals")
         sig /= scale
-        info["scale"] = scale
     sig.flags.writeable = False  # nothing else holds it: Dataset keeps it
-    return Dataset(sig, dataset.labels, dataset.targets), info
+    return Dataset(sig, dataset.labels, dataset.targets)
 
 
 def save_dataset(dataset: Dataset, path, generator: dict | None = None) -> None:
@@ -231,10 +231,8 @@ def save_dataset(dataset: Dataset, path, generator: dict | None = None) -> None:
         manifest["generator"] = generator
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     (out / "manifest.json").write_bytes(text.encode("utf-8"))
-    (out / "signals.bin").write_bytes(
-        np.ascontiguousarray(dataset.signals, dtype="<f8").tobytes())
-    (out / "labels.bin").write_bytes(
-        np.ascontiguousarray(dataset.labels, dtype="<f8").tobytes())
+    write_matrix_f64(out / "signals.bin", dataset.signals)
+    write_matrix_f64(out / "labels.bin", dataset.labels)
 
 
 def load_dataset(path) -> Dataset:
@@ -276,54 +274,48 @@ def load_dataset(path) -> Dataset:
     targets = tuple(TargetSchema.from_manifest(d) for d in manifest["targets"])
     m = len(targets)
 
-    sig_bytes = _read_payload(root / "signals.bin", n * c * t)
-    lab_bytes = _read_payload(root / "labels.bin", n * m)
-    signals = np.frombuffer(sig_bytes, dtype="<f8").reshape(n, c, t)
-    labels = np.frombuffer(lab_bytes, dtype="<f8").reshape(n, m)
+    try:
+        signals = read_matrix_f64(root / "signals.bin", (n, c, t))
+        labels = read_matrix_f64(root / "labels.bin", (n, m))
+    except OSError as e:
+        raise DatasetFormatError(f"cannot read payload: {e}") from e
+    signals.flags.writeable = False  # nothing else holds it: Dataset keeps it
     try:
         return Dataset(signals, labels, targets)
     except ValueError as e:
         raise DatasetFormatError(f"payload failed validation: {e}") from e
 
 
-def _read_payload(path: Path, n_values: int) -> bytes:
-    if not path.is_file():
-        raise DatasetFormatError(f"missing payload file: {path}")
-    raw = path.read_bytes()
-    expect = n_values * 8
-    if len(raw) != expect:
-        raise DatasetFormatError(
-            f"{path.name}: expected {expect} bytes, found {len(raw)}")
-    return raw
-
-
-# --- small raw-matrix files (unmixing/mixing matrices, model parameters) ---
+# --- raw float64 files: dataset payloads, matrices, model parameters ---
 
 def write_matrix_f64(path, arr: np.ndarray) -> None:
     """Write an array as raw little-endian float64, row-major."""
-    Path(path).write_bytes(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    np.ascontiguousarray(arr, dtype="<f8").tofile(path)
 
 
 def read_matrix_f64(path, shape=None) -> np.ndarray:
-    """Read a raw little-endian float64 array.
+    """Read a raw little-endian float64 array of ``shape``.
 
     With ``shape=None`` the file must hold a square matrix; its size is
-    inferred from the byte count.
+    inferred from the byte count.  A file that cannot be opened raises
+    ``OSError``; a byte count that does not fit raises
+    :class:`DatasetFormatError`.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) % 8:
-        raise DatasetFormatError(f"{path}: size {len(raw)} not a multiple of 8")
-    flat = np.frombuffer(raw, dtype="<f8")
-    if shape is None:
-        side = int(round(np.sqrt(flat.size)))
-        if side * side != flat.size:
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size % 8:
+            raise DatasetFormatError(f"{path}: size {size} not a multiple of 8")
+        count = size // 8
+        if shape is None:
+            side = math.isqrt(count)
+            if side * side != count:
+                raise DatasetFormatError(
+                    f"{path}: {count} values do not form a square matrix")
+            shape = (side, side)
+        if math.prod(shape) != count:
             raise DatasetFormatError(
-                f"{path}: {flat.size} values do not form a square matrix")
-        shape = (side, side)
-    if int(np.prod(shape)) != flat.size:
-        raise DatasetFormatError(
-            f"{path}: expected {int(np.prod(shape))} values, found {flat.size}")
-    return flat.reshape(shape).copy()
+                f"{path}: expected {math.prod(shape)} values, found {count}")
+        return np.fromfile(f, dtype="<f8", count=count).reshape(shape)
 
 
 def write_commented_text(path, comments, lines) -> None:

@@ -19,6 +19,9 @@ from .data import Dataset
 from .linalg import serial_matmul
 from .supervision import FeatureMapConfig, predict_batch
 
+# whiten's floor on the covariance eigenvalues, relative to the largest
+_WHITEN_RTOL = 1e-10
+
 
 def amari_distance(w: np.ndarray, mixing: np.ndarray) -> float:
     """Permutation/scale-invariant misalignment of ``w @ mixing``.
@@ -46,7 +49,20 @@ def amari_distance(w: np.ndarray, mixing: np.ndarray) -> float:
                  + (r.sum(axis=0) / col_max - 1.0).sum())
 
 
-def whiten(x: np.ndarray, rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def check_mixing(mixing: np.ndarray, channels: int) -> None:
+    """Raise ``ValueError`` unless ``mixing`` is a finite, nonsingular
+    ``(channels, channels)`` ground truth, as :func:`amari_distance` needs."""
+    if np.shape(mixing) != (channels, channels):
+        raise ValueError("ground-truth mixing shape mismatch")
+    if not np.all(np.isfinite(mixing)):
+        raise ValueError("ground-truth mixing has non-finite entries")
+    rank = np.linalg.matrix_rank(mixing)
+    if rank < channels:
+        raise ValueError(f"ground-truth mixing is singular (rank {rank} "
+                         f"of {channels})")
+
+
+def whiten(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric (zero-phase) whitening of a ``(C, S)`` signal matrix.
 
     Uses the inverse principal square root of the sample covariance
@@ -65,7 +81,7 @@ def whiten(x: np.ndarray, rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     centered = x - x.mean(axis=1, keepdims=True)
     cov = centered @ centered.T / x.shape[1]
     evals, evecs = np.linalg.eigh(cov)
-    if evals[-1] <= 0.0 or evals[0] <= rtol * evals[-1]:
+    if evals[-1] <= 0.0 or evals[0] <= _WHITEN_RTOL * evals[-1]:
         raise ValueError("covariance is rank-deficient; cannot whiten")
     v = (evecs / np.sqrt(evals)) @ evecs.T
     return v @ x, v
@@ -80,7 +96,7 @@ class FobiResult:
     degenerate: bool
 
 
-def fobi(x: np.ndarray, degeneracy_rtol: float | None = None) -> FobiResult:
+def fobi(x: np.ndarray) -> FobiResult:
     """Fourth-order blind identification of a ``(C, S)`` mixture.
 
     Whitens the (centered) data, forms the weighted fourth-moment matrix
@@ -89,10 +105,10 @@ def fobi(x: np.ndarray, degeneracy_rtol: float | None = None) -> FobiResult:
 
     Identifiability needs the source kurtoses to be pairwise distinct.
     The ``degenerate`` flag reports adjacent eigenvalues of Q closer
-    (relative to the mean eigenvalue) than ``degeneracy_rtol``; the
-    default tolerance ``max(1e-8, 8/sqrt(S))`` accounts for the sampling
-    noise of fourth moments, so population ties (e.g. two components with
-    identical kurtosis) are flagged at realistic sample sizes.
+    (relative to the mean eigenvalue) than ``max(1e-8, 8/sqrt(S))``; that
+    tolerance accounts for the sampling noise of fourth moments, so
+    population ties (e.g. two components with identical kurtosis) are
+    flagged at realistic sample sizes.
     """
     x = np.asarray(x, dtype=np.float64)
     n_samples = x.shape[1]
@@ -103,11 +119,10 @@ def fobi(x: np.ndarray, degeneracy_rtol: float | None = None) -> FobiResult:
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    if degeneracy_rtol is None:
-        degeneracy_rtol = max(1e-8, 8.0 / np.sqrt(n_samples))
     scale = float(np.mean(np.abs(evals))) or 1.0
     gaps = np.abs(np.diff(evals)) / scale
-    return FobiResult(evecs.T @ v, evals, bool(np.any(gaps < degeneracy_rtol)))
+    tol = max(1e-8, 8.0 / np.sqrt(n_samples))
+    return FobiResult(evecs.T @ v, evals, bool(np.any(gaps < tol)))
 
 
 def success_rate(values, threshold: float) -> float:

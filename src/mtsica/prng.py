@@ -62,11 +62,6 @@ def _seed_state(seeds: np.ndarray) -> np.ndarray:
     return _splitmix64(steps[:, None] + seeds)
 
 
-def splitmix64_mix(x: int) -> int:
-    """Apply the splitmix64 output scrambler to a 64-bit value."""
-    return int(_splitmix64(np.array([x & _MASK64], dtype=np.uint64))[0])
-
-
 def derive_stream_seed(seed: int, index: int) -> int:
     """Derive an independent stream seed from a root seed and an index.
 

@@ -61,7 +61,7 @@ from .data import Dataset, write_commented_text
 from .likelihood import (DEFAULT_U_MAX, aux_exact, aux_proximal,
                          variational_value)
 from .linalg import serial_matmul, spectral_norm
-from .metrics import amari_distance
+from .metrics import amari_distance, check_mixing
 from .prng import Xoshiro256pp
 from .supervision import (FeatureMapConfig, batch_loss_grads,
                           head_loss_grads, init_model, make_optimizer,
@@ -259,12 +259,11 @@ def check_inputs(dataset: Dataset, config: SolverConfig,
     """Check that ``config`` and ``ground_truth`` fit ``dataset``.
 
     Returns the (trials, times) minibatch sizes of one iteration; raises
-    ``ValueError`` when a window, a minibatch or the ground truth does
-    not fit the dataset, when the ground truth is not finite and
-    nonsingular (the precondition of :func:`amari_distance`), when
-    ``u_max = inf`` meets a sample that is zero in every channel, or when
-    ``init_scale`` gives no invertible W0 from ``seed``.  Fitting runs
-    this before iteration 1.
+    ``ValueError`` when a window or a minibatch does not fit the dataset,
+    when the ground truth fails :func:`check_mixing`, when ``u_max = inf``
+    meets a sample that is zero in every channel, or when ``init_scale``
+    gives no invertible W0 from ``seed``.  Fitting runs this before
+    iteration 1.
     """
     n_trials, channels, samples = dataset.signals.shape
     if dataset.n_targets:
@@ -278,14 +277,7 @@ def check_inputs(dataset: Dataset, config: SolverConfig,
                 f"u_max = inf needs a nonzero channel at every sample, but "
                 f"trial {i} is zero in every channel at time {t}")
     if ground_truth is not None:
-        if np.shape(ground_truth) != (channels, channels):
-            raise ValueError("ground-truth mixing shape mismatch")
-        if not np.all(np.isfinite(ground_truth)):
-            raise ValueError("ground-truth mixing has non-finite entries")
-        rank = np.linalg.matrix_rank(ground_truth)
-        if rank < channels:
-            raise ValueError(f"ground-truth mixing is singular (rank {rank} "
-                             f"of {channels})")
+        check_mixing(ground_truth, channels)
     batch_n = config.batch_trials or n_trials
     batch_tau = config.batch_times or samples
     if batch_n > n_trials or batch_tau > samples:

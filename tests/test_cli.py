@@ -557,6 +557,27 @@ def test_fit_rejects_a_nonfinite_or_singular_ground_truth(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_rescale_of_all_zero_signals_exits_2(tmp_path, capsys):
+    zeros = tmp_path / "zeros"
+    save_dataset(Dataset(np.zeros((3, 2, 50)), np.zeros((3, 0)), ()), zeros)
+    cfg = write_cfg(tmp_path / "cfg", ["iterations=2"])
+    assert run(["fit", "--data", zeros, "--config", cfg, "--rescale",
+                "--out", tmp_path / "zero_run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "all-zero" in err
+    assert not (tmp_path / "zero_run").exists()
+    # eval --run reads the switch back from a rescaled run's config
+    d, rund = tmp_path / "ds", tmp_path / "run"
+    gen_tiny(d)
+    assert run(["fit", "--data", d, "--config", cfg, "--rescale",
+                "--out", rund]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--run", rund, "--data", zeros,
+                "--holdout", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "all-zero" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_overflow_at_the_first_snapshot_exits_3(tmp_path, capsys):
     # W0 overflows W @ A before iteration 1: an abort, not a traceback
@@ -813,6 +834,24 @@ def test_baseline_names_the_trial_fobi_cannot_whiten(tmp_path, capsys):
         assert run(["baseline", "--data", root, "--mode", mode]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: FOBI cannot whiten") and where in err
+
+
+def test_baseline_rejects_a_mixing_that_does_not_fit(tmp_path, capsys):
+    # the Amari distance needs a square, finite, nonsingular mixing of the
+    # dataset's channel count; it is checked before any FOBI
+    d = tmp_path / "ds"
+    assert run(["gen", "--recipe", "multi_trial", "--seed", 0, "--out", d,
+                "--trials", 3, "--channels", 2, "--samples", 200]) == 0
+    for name, mixing, why in [("eye3", np.eye(3), "shape mismatch"),
+                              ("zero", np.zeros((2, 2)),
+                               "singular (rank 0 of 2)")]:
+        path = tmp_path / f"{name}.f64"
+        write_matrix_f64(path, mixing)
+        for mode in ("per_trial", "concat"):
+            assert run(["baseline", "--data", d, "--mode", mode,
+                        "--mixing", path]) == 2, (name, mode)
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad mixing file") and why in err
 
 
 def test_baseline_method_flag_is_gone(tmp_path, capsys):

@@ -126,27 +126,29 @@ def test_concat_trials_layout():
 
 def test_preprocess_identity_by_default():
     ds = tiny_dataset()
-    out, info = preprocess(ds)
-    assert np.array_equal(out.signals, ds.signals)
-    assert info["scale"] == 1.0 and info["channel_means"] is None
+    assert np.array_equal(preprocess(ds).signals, ds.signals)
 
 
 def test_preprocess_center_zeroes_channel_means():
     ds = tiny_dataset(seed=3)
-    out, info = preprocess(ds, center=True)
+    out = preprocess(ds, center=True)
     pooled = out.signals.mean(axis=(0, 2))
     assert np.max(np.abs(pooled)) < 1e-14
-    assert np.allclose(info["channel_means"], ds.signals.mean(axis=(0, 2)))
+    means = ds.signals.mean(axis=(0, 2))
+    assert np.array_equal(out.signals, ds.signals - means[None, :, None])
 
 
 def test_preprocess_rescale_normalizes_avg_sq_spectral_norm():
     ds = tiny_dataset(seed=4)
-    out, info = preprocess(ds, rescale=True)
+    out = preprocess(ds, rescale=True)
     sq = [spectral_norm(out.signals[i]) ** 2 for i in range(out.n_trials)]
     assert abs(np.mean(sq) - 1.0) < 1e-9
-    assert info["scale"] > 0
-    # global scalar: ratios between entries unchanged
-    assert np.allclose(out.signals * info["scale"], ds.signals)
+    # one global scalar: the RMS trial spectral norm of the input
+    scale = np.sqrt(np.mean([spectral_norm(z) ** 2 for z in ds.signals]))
+    assert np.allclose(out.signals * scale, ds.signals)
+    with pytest.raises(ValueError, match="all-zero"):
+        preprocess(Dataset(np.zeros((2, 2, 5)), np.zeros((2, 0)), ()),
+                   rescale=True)
 
 
 def test_preprocess_makes_one_copy_of_the_signals():
@@ -154,7 +156,7 @@ def test_preprocess_makes_one_copy_of_the_signals():
     ds = Dataset(rng.normal(size=(40, 10, 1000)), np.zeros((40, 0)), ())
     tracemalloc.start()
     try:
-        out, _ = preprocess(ds, center=True)
+        out = preprocess(ds, center=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -164,7 +166,7 @@ def test_preprocess_makes_one_copy_of_the_signals():
 
 def test_preprocess_keeps_labels_and_schema():
     ds = tiny_dataset(m=2)
-    out, _ = preprocess(ds, center=True, rescale=True)
+    out = preprocess(ds, center=True, rescale=True)
     assert np.array_equal(out.labels, ds.labels)
     assert out.targets == ds.targets
 

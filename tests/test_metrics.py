@@ -149,13 +149,6 @@ def test_fobi_flags_repeated_kurtosis():
     assert res.degenerate
 
 
-def test_fobi_degeneracy_threshold_override():
-    rng = np.random.default_rng(11)
-    src = distinct_kurtosis_sources(rng, 20_000)
-    assert fobi(src.copy(), degeneracy_rtol=1e-15).degenerate is False
-    assert fobi(src.copy(), degeneracy_rtol=1e6).degenerate is True
-
-
 # --- aggregate metrics ---
 
 def test_success_rate_counts_strictly_below():

@@ -52,3 +52,30 @@ def test_modules_use_every_name_they_import():
         unused += [(path.stem, name) for name in bound
                    if name not in used and (path.stem, name) not in allowed]
     assert unused == []
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public def or class, top-level or a method, that only the tests
+    # use is test-only surface
+    package = Path(mtsica.__file__).parent
+    root = package.parents[1]
+    used = set()
+    for path in [*package.glob("*.py"), *(root / "demos").glob("*.py"),
+                 *(root / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    defs = (ast.FunctionDef, ast.ClassDef)
+    uncalled = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            nodes = [top] + (top.body if isinstance(top, ast.ClassDef) else [])
+            uncalled += [(path.stem, node.name) for node in nodes
+                         if isinstance(node, defs)
+                         and not node.name.startswith("_")
+                         and node.name not in used]
+    assert uncalled == []

@@ -7,16 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtsica.prng import (_CHUNK_ENTRIES, Xoshiro256pp, Xoshiro256ppStreams,
-                         _open_unit, derive_stream_seed, splitmix64_mix)
+                         _open_unit, derive_stream_seed)
 from oracles import (laplaces, normals_per_pair, splitmix64_outputs,
                      subset_full_list)
-
-
-def test_splitmix_mix_is_deterministic_and_64bit():
-    a = splitmix64_mix(12345)
-    assert a == splitmix64_mix(12345)
-    assert 0 <= a < 2**64
-    assert splitmix64_mix(12346) != a
 
 
 def test_seeding_matches_integer_splitmix64():
@@ -26,7 +19,6 @@ def test_seeding_matches_integer_splitmix64():
     assert splitmix64_outputs(0, 1) == [0xE220A8397B1DCDAF]
     for seed in (0, 1, 12345, 2**63, mask, -1, 2**70 + 5):
         first = splitmix64_outputs(seed, 4)
-        assert splitmix64_mix(seed + 0x9E3779B97F4A7C15) == first[0]
         rng = Xoshiro256pp(seed)
         assert [rng._s0, rng._s1, rng._s2, rng._s3] == first
         for index in (0, 1, 6000, mask, -1):
