@@ -254,13 +254,6 @@ def _load_run_inputs(args):
     return dataset, config, extras, ground_truth
 
 
-def _check_inputs(data_path, dataset, config, ground_truth=None):
-    try:
-        check_inputs(dataset, config, ground_truth)
-    except ValueError as e:
-        raise CliError(f"invalid configuration for {data_path}: {e}") from e
-
-
 def _run_single_fit(dataset, config, extras, ground_truth, out_dir,
                     timing: bool):
     """Fit and write the trace and outputs to ``out_dir``; returns the
@@ -308,8 +301,11 @@ def cmd_fit(args) -> int:
         lo, hi = _parse_seed_range(args.seeds)
         runs = {s: Path(args.out) / f"seed_{s}" for s in range(lo, hi + 1)}
     for s in runs:  # every seed before any run directory is made
-        _check_inputs(args.data, dataset, replace(config, seed=s),
-                      ground_truth)
+        try:
+            check_inputs(dataset, replace(config, seed=s), ground_truth)
+        except ValueError as e:
+            raise CliError(f"invalid configuration for {args.data}: "
+                           f"{e}") from e
     failures = []
     for s, out in runs.items():
         result = _run_single_fit(dataset, replace(config, seed=s), extras,
@@ -351,7 +347,7 @@ def cmd_eval(args) -> int:
     if args.w:
         if not args.mixing:
             raise CliError("--w requires --mixing for the ground truth")
-        mixing = _read_matrix_checked(args.mixing)
+        mixing = _read_mixing(args.mixing)
         values = []
         rows = []
         for path in args.w:
@@ -416,16 +412,23 @@ def _read_matrix_checked(path, shape=None) -> np.ndarray:
         raise CliError(f"cannot read matrix {path}: {e}") from e
 
 
+def _read_mixing(path, channels=None) -> np.ndarray:
+    """The ground truth at ``path``, checked by :func:`check_mixing` against
+    ``channels`` (default: its own size) before any Amari distance."""
+    mixing = _read_matrix_checked(path)
+    try:
+        check_mixing(mixing, len(mixing) if channels is None else channels)
+    except ValueError as e:
+        raise CliError(f"bad mixing file {path}: {e}") from e
+    return mixing
+
+
 def cmd_baseline(args) -> int:
     dataset = _load_dataset(args.data)
     mixing_path = args.mixing or (Path(args.data) / "mixing.f64")
     if not Path(mixing_path).is_file():
         raise CliError(f"no mixing ground truth at {mixing_path}; pass --mixing")
-    mixing = _read_matrix_checked(mixing_path)
-    try:  # before any FOBI, which would end in amari_distance
-        check_mixing(mixing, dataset.channels)
-    except ValueError as e:
-        raise CliError(f"bad mixing file {mixing_path}: {e}") from e
+    mixing = _read_mixing(mixing_path, dataset.channels)  # before any FOBI
     comments = [f"mtsica {__version__} baseline (fobi, {args.mode})",
                 f"data={args.data}", f"mixing={mixing_path}"]
     if args.mode == "per_trial":
@@ -529,10 +532,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DatasetFormatError, OSError) as e:  # OSError: an unusable --out
+    except (CliError, DatasetFormatError, OSError) as e:  # OSError: bad --out
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -89,10 +89,9 @@ def whiten(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FobiResult:
-    """FOBI output: unmixing matrix, moment eigenvalues, degeneracy flag."""
+    """FOBI output: unmixing matrix and degeneracy flag."""
 
     w: np.ndarray
-    eigenvalues: np.ndarray
     degenerate: bool
 
 
@@ -122,7 +121,7 @@ def fobi(x: np.ndarray) -> FobiResult:
     scale = float(np.mean(np.abs(evals))) or 1.0
     gaps = np.abs(np.diff(evals)) / scale
     tol = max(1e-8, 8.0 / np.sqrt(n_samples))
-    return FobiResult(evecs.T @ v, evals, bool(np.any(gaps < tol)))
+    return FobiResult(evecs.T @ v, bool(np.any(gaps < tol)))
 
 
 def success_rate(values, threshold: float) -> float:

@@ -7,7 +7,10 @@ every seed: the state words of both generators and the stream seeds of
 :func:`derive_stream_seed`.  Two generators are provided:
 
 * :class:`Xoshiro256pp` — a scalar generator backed by Python integers,
-  used for solver-side draws (initialization, minibatch index sampling).
+  used for solver-side draws (initialization, minibatch index sampling)
+  and the mixing spectrum's order.  Its one Fisher-Yates shuffle, sparse
+  and partial, gives both :meth:`~Xoshiro256pp.permutation` (all of it)
+  and :meth:`~Xoshiro256pp.subset` (its first entries, sorted).
 * :class:`Xoshiro256ppStreams` — a vectorized multi-stream generator backed
   by ``uint64`` arrays, used for bulk synthetic-data generation where many
   independent per-trial streams advance in lockstep.  Stream i of
@@ -123,16 +126,6 @@ class Xoshiro256pp:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n).
-
-        Uses plain modulo reduction; the bias is at most n / 2**64, far
-        below anything observable at the sizes used here.
-        """
-        if n <= 0:
-            raise ValueError("below() requires n >= 1")
-        return self.next_u64() % n
-
     def normals(self, shape) -> np.ndarray:
         """Standard normal array via Box-Muller (pairs; odd tails drop one).
 
@@ -149,18 +142,16 @@ class Xoshiro256pp:
         out[1::2] = r * np.sin(a)
         return out[:count].reshape(shape)
 
-    def subset(self, n_total: int, n_draw: int) -> np.ndarray:
-        """Sample ``n_draw`` distinct indices from range(n_total), sorted.
+    def _shuffle(self, n_total: int, n_draw: int) -> np.ndarray:
+        """The first ``n_draw`` entries of a Fisher-Yates shuffle of
+        ``range(n_total)``, in draw order.
 
-        Partial Fisher-Yates over a sparse pool: ``moved`` maps each
-        position a swap has written to its value, and any other position
-        still holds its own index.  A draw costs O(n_draw) whatever
-        ``n_total`` is and reduces the same u64s modulo ``n_total - j`` as
-        ``below`` calls of swaps over the full list ``range(n_total)``, so
-        it returns the same indices and leaves the same state.
-        The returned set is sorted ascending so that downstream reductions
-        run in a fixed order.  ``n_draw == n_total`` returns
-        ``arange(n_total)`` exactly.
+        The one shuffle of this class.  Swap j takes
+        ``r = j + u64 % (n_total - j)`` (plain modulo reduction; the bias
+        is at most n_total / 2**64) and swaps positions j and r.  The pool
+        is sparse: ``moved`` maps each position a swap has written to its
+        value, and any other position still holds its own index, so a draw
+        costs O(n_draw) whatever ``n_total`` is.
         """
         if not 0 < n_draw <= n_total:
             raise ValueError(f"need 0 < n_draw <= n_total, got {n_draw}, {n_total}")
@@ -170,7 +161,22 @@ class Xoshiro256pp:
             r = j + u64 % (n_total - j)
             picked.append(moved.get(r, r))
             moved[r] = moved.get(j, j)
-        out = np.array(picked, dtype=np.int64)
+        return np.array(picked, dtype=np.int64)
+
+    def permutation(self, n: int) -> np.ndarray:
+        """A uniform random permutation of ``range(n)``: a full
+        :meth:`_shuffle`, one u64 per entry."""
+        return self._shuffle(n, n)
+
+    def subset(self, n_total: int, n_draw: int) -> np.ndarray:
+        """Sample ``n_draw`` distinct indices from range(n_total), sorted.
+
+        The first ``n_draw`` entries of the shuffle :meth:`permutation`
+        makes of ``range(n_total)``, from the same u64s, sorted ascending so
+        that downstream reductions run in a fixed order.  ``n_draw ==
+        n_total`` returns ``arange(n_total)`` exactly.
+        """
+        out = self._shuffle(n_total, n_draw)
         out.sort()
         return out
 

@@ -97,12 +97,6 @@ def _trig(window: int) -> np.ndarray:
 _LOG_EPS = 1e-6
 
 
-def _windowed(batch: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
-    # (B, T) -> (B, n_windows, window) view
-    view = np.lib.stride_tricks.sliding_window_view(batch, cfg.window, axis=1)
-    return view[:, ::cfg.hop, :]
-
-
 def _forward(batch: np.ndarray, cfg: FeatureMapConfig):
     """Feature forward pass with the context needed for the adjoint.
 
@@ -114,7 +108,9 @@ def _forward(batch: np.ndarray, cfg: FeatureMapConfig):
     consumes it.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    frames = np.ascontiguousarray(_windowed(batch, cfg))
+    # (B, T) -> (B, n_windows, window)
+    view = np.lib.stride_tricks.sliding_window_view(batch, cfg.window, axis=1)
+    frames = np.ascontiguousarray(view[:, ::cfg.hop, :])
     ri = serial_matmul(frames.reshape(-1, cfg.window), _trig(cfg.window))
     del frames
     n_bins = cfg.n_bins

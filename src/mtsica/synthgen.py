@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .data import Dataset, TargetSchema
+from .metrics import check_mixing
 from .prng import Xoshiro256pp, Xoshiro256ppStreams, derive_stream_seed
 from .supervision import FeatureMapConfig, feature_map_batch
 
@@ -69,24 +70,25 @@ def gen_hilbert_mixing(channels: int, kappa: float, seed: int) -> np.ndarray:
     spectrum is geometrically spaced from 1 to e^kappa and assigned to the
     eigenvectors in a seed-dependent random order.  ``kappa -> 0`` gives
     the identity (the eigenbasis is orthonormal).  Raises ``ValueError``
-    when the result is numerically singular (``np.linalg.matrix_rank``
-    below ``channels``, the test ``fit`` applies to its ground truth).
+    when the result fails :func:`~mtsica.metrics.check_mixing`, the test
+    ``fit`` applies to its ground truth: numerically singular, or
+    non-finite once e^kappa overflows.
     """
     if kappa < 0.0:
         raise ValueError("kappa must be >= 0")
     h = scipy.linalg.hilbert(channels)
     _, evecs = np.linalg.eigh(h)
-    sigma = np.exp(np.linspace(0.0, kappa, channels))
-    rng = Xoshiro256pp(seed)
-    order = list(range(channels))  # Fisher-Yates shuffle of the spectrum
-    for j in range(channels):
-        swap = j + rng.below(channels - j)
-        order[j], order[swap] = order[swap], order[j]
-    mixing = (evecs * sigma[order]) @ evecs.T
-    rank = np.linalg.matrix_rank(mixing)
-    if rank < channels:
-        raise ValueError(f"kappa = {kappa:g} gives a numerically singular "
-                         f"mixing (rank {rank} of {channels})")
+    order = Xoshiro256pp(seed).permutation(channels)
+    # e^kappa overflows past kappa ~ 709.78; check_mixing rejects the inf
+    # and NaN entries that follow
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.exp(np.linspace(0.0, kappa, channels))
+        mixing = (evecs * sigma[order]) @ evecs.T
+    try:
+        check_mixing(mixing, channels)
+    except ValueError as e:
+        raise ValueError(f"kappa = {kappa:g} gives an unusable mixing: "
+                         f"{e}") from e
     return mixing
 
 
@@ -97,19 +99,18 @@ def gen_regression_targets(sources: np.ndarray, n_targets: int,
     Target m reads source component m: ``y_im = <theta*_m, phi(s_im)>``
     with theta* standard normal from the seed's stream.
 
-    Returns ``(labels (N, M), theta_star (M, dim))``.
+    Returns the labels, ``(N, M)``.
     """
     n_trials, channels, samples = sources.shape
     if n_targets > channels:
         raise ValueError("more targets than source components")
     dim = fm_cfg.dim(samples)
-    rng = Xoshiro256pp(seed)
-    theta_star = rng.normals((n_targets, dim))
+    theta_star = Xoshiro256pp(seed).normals((n_targets, dim))
     labels = np.empty((n_trials, n_targets))
     for m in range(n_targets):
         phi = feature_map_batch(sources[:, m, :], fm_cfg)
         labels[:, m] = phi @ theta_star[m]
-    return labels, theta_star
+    return labels
 
 
 def gen_dataset(recipe: str, seed: int, n_trials: int | None = None,
@@ -156,7 +157,7 @@ def gen_dataset(recipe: str, seed: int, n_trials: int | None = None,
     signals = np.einsum("cd,ndt->nct", mixing, sources)
 
     if m:
-        labels, _ = gen_regression_targets(
+        labels = gen_regression_targets(
             sources, m, fm_cfg, derive_stream_seed(seed, TAG_TARGETS))
         targets = tuple(TargetSchema(f"y{j}", "continuous") for j in range(m))
     else:

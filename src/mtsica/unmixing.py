@@ -65,12 +65,6 @@ class UnmixingState:
         return self.w.shape[0]
 
 
-def _eta_inv(eta_u: float) -> float:
-    if not eta_u > 0.0:
-        raise ValueError("eta_u must be positive (may be inf)")
-    return 0.0 if np.isinf(eta_u) else 1.0 / eta_u
-
-
 # Batch columns per block of the A_c pass.  For C <= 10 a block's products
 # with one row (at most 10 x 4000 floats) are still in cache when their
 # gemm reads them.  A power of two is avoided because power-of-two row
@@ -191,7 +185,9 @@ def row_update(state: UnmixingState, a_c: np.ndarray, b_mat: np.ndarray,
     """
     w = state.w
     c_dim = w.shape[0]
-    inv_eta = _eta_inv(eta_u)
+    if not eta_u > 0.0:
+        raise ValueError("eta_u must be positive (may be inf)")
+    inv_eta = 1.0 / eta_u   # 0.0 at inf
     inner = a_c + inv_eta * np.eye(c_dim)
     k_mat = w @ inner @ w.T
     k_mat = 0.5 * (k_mat + k_mat.T)   # exactly symmetric, so k_mat.T is

@@ -85,14 +85,16 @@ def splitmix64_outputs(seed, n):
     return out
 
 
-def subset_full_list(rng, n_total, n_draw):
-    """``Xoshiro256pp.subset`` as a partial Fisher-Yates swap over the
-    whole list ``range(n_total)``, sorted."""
+def fisher_yates_full_list(rng, n_total, n_draw):
+    """The first ``n_draw`` entries of a Fisher-Yates shuffle of the whole
+    list ``range(n_total)``, in draw order (Durstenfeld's swap loop): swap j
+    exchanges positions j and ``j + next_u64() % (n_total - j)``.
+    ``Xoshiro256pp.permutation`` is all of it; ``subset`` sorts a prefix."""
     pool = list(range(n_total))
     for j in range(n_draw):
-        r = j + rng.below(n_total - j)
+        r = j + rng.next_u64() % (n_total - j)
         pool[j], pool[r] = pool[r], pool[j]
-    return np.sort(np.array(pool[:n_draw], dtype=np.int64))
+    return np.array(pool[:n_draw], dtype=np.int64)
 
 
 def normals_per_pair(rng, shape):

@@ -125,6 +125,24 @@ def test_gen_rejects_a_kappa_that_makes_the_mixing_singular(tmp_path, capsys):
     assert run(argv + [34, "--out", tmp_path / "k34"]) == 0
 
 
+@pytest.mark.parametrize("kappa", ["710", "1e308"])
+def test_gen_rejects_a_kappa_whose_spectrum_overflows(tmp_path, kappa):
+    # e^kappa is inf: one error line, no numpy warning and no LAPACK
+    # message on the process's stderr
+    out = tmp_path / "k"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtsica", "gen", "--recipe", "supervision",
+         "--seed", "0", "--trials", "6", "--channels", "4", "--samples",
+         "128", "--kappa", kappa, "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: kappa = {float(kappa):g} gives an "
+                           f"unusable mixing: ground-truth mixing has "
+                           f"non-finite entries\n")
+    assert not out.exists()
+
+
 def test_gen_feature_flags_need_targets(tmp_path, capsys):
     # with no targets the label features reach nothing but the manifest
     for i, argv in enumerate([
@@ -696,6 +714,26 @@ def test_eval_multiple_w_appends_mean_median(tmp_path):
     vals = sorted(float(r.split(",")[1]) for r in rows[1:4])
     med = float(rows[-1].split(",")[1])
     assert med == pytest.approx(vals[1])
+
+
+def test_eval_w_names_the_mixing_file_for_a_bad_mixing(tmp_path, capsys):
+    # the ground truth is checked before any W is read or scored
+    d = tmp_path / "ds"
+    gen_tiny(d)
+    capsys.readouterr()
+    w_path = tmp_path / "w.f64"
+    write_matrix_f64(w_path, np.eye(2))
+    for name, mixing, why in [("zero2", np.zeros((2, 2)),
+                               "ground-truth mixing is singular (rank 0 of 2)"),
+                              ("nan2", np.full((2, 2), np.nan),
+                               "ground-truth mixing has non-finite entries")]:
+        path = tmp_path / f"{name}.f64"
+        write_matrix_f64(path, mixing)
+        assert run(["eval", "--w", w_path, tmp_path / "missing.f64",
+                    "--mixing", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad mixing file {path}: {why}\n"
 
 
 def test_eval_holdout_scores_fitted_heads(tmp_path):

@@ -114,11 +114,16 @@ def test_fobi_separates_distinct_kurtosis_mixture():
     rng = np.random.default_rng(7)
     src = distinct_kurtosis_sources(rng, 20_000)
     a = rng.normal(size=(3, 3)) + 1.5 * np.eye(3)
-    res = fobi(a @ src)
+    x = a @ src
+    res = fobi(x)
     assert isinstance(res, FobiResult)
     assert amari_distance(res.w, a) < 0.5
     assert not res.degenerate
-    assert np.all(np.diff(res.eigenvalues) <= 0)    # sorted descending
+    # W = E^T V: row j's sources have weighted fourth moment
+    # mean(|y|^2 y_j^2), Q's j-th eigenvalue, and E is descending
+    y = res.w @ (x - x.mean(axis=1, keepdims=True))
+    q = np.mean(np.sum(y * y, axis=0) * y * y, axis=1)
+    assert np.all(np.diff(q) <= 0)
 
 
 def test_fobi_identity_mixing():

@@ -1,5 +1,6 @@
 """Deterministic PRNG layer: scalar vs vectorized agreement, stream
-derivation, distributional sanity, and index-subset sampling."""
+derivation, distributional sanity, and the Fisher-Yates shuffle behind
+permutations and index subsets."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from mtsica.prng import (_CHUNK_ENTRIES, Xoshiro256pp, Xoshiro256ppStreams,
                          _open_unit, derive_stream_seed)
-from oracles import (laplaces, normals_per_pair, splitmix64_outputs,
-                     subset_full_list)
+from oracles import (fisher_yates_full_list, laplaces, normals_per_pair,
+                     splitmix64_outputs)
 
 
 def test_seeding_matches_integer_splitmix64():
@@ -81,12 +82,28 @@ def test_open_unit_never_hits_endpoints():
     assert np.all(np.isfinite(np.log(xs)))
 
 
-def test_below_range_and_error():
+def test_permutation_range_and_error():
     rng = Xoshiro256pp(5)
-    draws = [rng.below(7) for _ in range(2000)]
-    assert min(draws) == 0 and max(draws) == 6
+    firsts = set()
+    for _ in range(300):
+        perm = rng.permutation(7)
+        assert perm.dtype == np.int64
+        assert sorted(perm.tolist()) == list(range(7))
+        firsts.add(int(perm[0]))
+    assert firsts == set(range(7))           # every index can lead
     with pytest.raises(ValueError):
-        rng.below(0)
+        rng.permutation(0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_permutation_matches_full_list_fisher_yates(seed):
+    # the sparse pool gives the whole-list swap loop's order, one u64 per
+    # entry, and leaves the generator in the same state
+    for n in range(1, 31):
+        sparse, full = Xoshiro256pp(seed), Xoshiro256pp(seed)
+        assert np.array_equal(sparse.permutation(n),
+                              fisher_yates_full_list(full, n, n))
+        assert sparse.next_u64() == full.next_u64()
 
 
 def test_normals_moments_and_shapes():
@@ -164,12 +181,13 @@ def test_streams_independent_of_sibling_count():
     assert np.array_equal(one, eight)
 
 
-@given(n_total=st.integers(1, 40), seed=st.integers(0, 2**32))
+@given(sizes=st.integers(1, 40).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       seed=st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
-def test_subset_is_sorted_unique_in_range(n_total, seed):
-    rng = Xoshiro256pp(seed)
-    n_draw = 1 + rng.below(n_total)
-    sub = rng.subset(n_total, n_draw)
+def test_subset_is_sorted_unique_in_range(sizes, seed):
+    n_total, n_draw = sizes
+    sub = Xoshiro256pp(seed).subset(n_total, n_draw)
     assert sub.shape == (n_draw,)
     assert np.all(np.diff(sub) > 0)            # sorted + unique
     assert sub.min() >= 0 and sub.max() < n_total
@@ -184,12 +202,12 @@ def test_subset_full_draw_is_arange():
 @pytest.mark.parametrize("n_total", [1, 7, 500])
 def test_subset_matches_full_list_fisher_yates(n_total):
     # the sparse pool returns the indices of a swap over the whole list
-    # and leaves the generator in the same state (same below() calls)
+    # and leaves the generator in the same state (same u64 draws)
     for n_draw in sorted({1, max(1, n_total // 3), n_total}):
         for seed in range(5):
             sparse, full = Xoshiro256pp(seed), Xoshiro256pp(seed)
             got = sparse.subset(n_total, n_draw)
-            want = subset_full_list(full, n_total, n_draw)
+            want = np.sort(fisher_yates_full_list(full, n_total, n_draw))
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
             assert sparse.next_u64() == full.next_u64()

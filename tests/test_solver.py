@@ -458,6 +458,45 @@ def test_full_batch_fit_of_a_doubled_dataset_is_the_same_fit():
                                    rtol=1e-12, atol=0.0)
 
 
+def _max_rel(got, want):
+    """Largest absolute difference, relative to the largest entry."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("recipe, kw", [
+    ("multi_trial", dict(eta_u=np.inf)),                  # exact aux step
+    ("multi_trial", dict(eta_u=1.0, eta_a=1.0)),          # proximal
+    ("supervision", dict(lam=1e-3, window=16, hop=8, log_power=True)),
+])
+def test_full_batch_fit_of_permuted_trials_is_the_same_fit(recipe, kw):
+    # every batch quantity is a mean over trials, so permuting the trials
+    # (labels with them) changes only the summation order.  3 iterations:
+    # a last-bit difference reaches ~1e-8 in W by iteration 10 and ~1e-2
+    # by iteration 60 on these instances, before the fits converge again
+    if recipe == "multi_trial":
+        ds, _ = gen_dataset(recipe, 0, n_trials=12, channels=4, samples=300)
+    else:
+        ds, _ = gen_dataset(recipe, 0, n_trials=12, channels=4, samples=128,
+                            n_targets=2, kappa=1.0, fm_cfg=FM16L)
+    perm = Xoshiro256pp(1).permutation(ds.n_trials)
+    cfg = SolverConfig(iterations=3, **kw)
+
+    def diffs(labels):
+        one = fit_full_batch(ds, cfg)
+        two = fit_full_batch(Dataset(ds.signals[perm], labels, ds.targets),
+                             cfg)
+        assert len(two.trace.records) == len(one.trace.records) == 4
+        return ([_max_rel(two.w_state.w, one.w_state.w)]
+                + [_max_rel(b.theta, a.theta)
+                   for a, b in zip(one.models, two.models)]
+                + [abs(b.f_value / a.f_value - 1.0)
+                   for a, b in zip(one.trace.records, two.trace.records)])
+
+    assert max(diffs(ds.labels[perm])) < 1e-10
+    if ds.n_targets:  # the labels must follow their trials
+        assert max(diffs(ds.labels)) > 1e-3
+
+
 def test_every_config_field_changes_the_fit():
     # a knob that changes neither W, a theta nor the trace does nothing;
     # the base turns every mode on so that each knob has work to do

@@ -1,11 +1,13 @@
 """Synthetic dataset generators: source statistics, mixing conditioning,
 label construction, and recipe plumbing."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mtsica.prng import Xoshiro256pp
 from mtsica.supervision import FeatureMapConfig, feature_map_batch
 from mtsica.synthgen import (RECIPES, gen_dataset, gen_gaussian_mixing,
                              gen_hilbert_mixing, gen_laplace_sources,
@@ -90,12 +92,23 @@ def test_hilbert_mixing_rejects_a_numerically_singular_result():
     assert np.linalg.matrix_rank(gen_hilbert_mixing(4, 34.0, seed=7)) == 4
 
 
+@pytest.mark.parametrize("kappa", [710.0, 1e308])
+def test_hilbert_mixing_rejects_an_overflowing_spectrum(kappa):
+    # e^kappa is inf past ~709.78: the same ValueError as a singular
+    # mixing, and no RuntimeWarning (an error under this suite's filters)
+    want = (f"kappa = {kappa:g} gives an unusable mixing: ground-truth "
+            "mixing has non-finite entries")
+    with pytest.raises(ValueError, match=re.escape(want)):
+        gen_hilbert_mixing(4, kappa, seed=0)
+
+
 # --- regression targets ---
 
 def test_targets_are_linear_feature_reads():
     src = gen_laplace_sources(5, 3, 16, seed=9)
-    labels, theta = gen_regression_targets(src, 2, FM8, seed=4)
-    assert labels.shape == (5, 2) and theta.shape == (2, FM8.dim(16))
+    labels = gen_regression_targets(src, 2, FM8, seed=4)
+    theta = Xoshiro256pp(4).normals((2, FM8.dim(16)))   # theta* of seed 4
+    assert labels.shape == (5, 2)
     for i in range(5):
         for m in range(2):
             want = feature_map_batch(src[i, m:m + 1], FM8)[0] @ theta[m]
@@ -105,9 +118,8 @@ def test_targets_are_linear_feature_reads():
 
 def test_targets_deterministic_and_bounded_by_channels():
     src = gen_laplace_sources(4, 2, 16, seed=9)
-    l1, t1 = gen_regression_targets(src, 1, FM8, seed=5)
-    l2, t2 = gen_regression_targets(src, 1, FM8, seed=5)
-    assert np.array_equal(l1, l2) and np.array_equal(t1, t2)
+    assert np.array_equal(gen_regression_targets(src, 1, FM8, seed=5),
+                          gen_regression_targets(src, 1, FM8, seed=5))
     with pytest.raises(ValueError):
         gen_regression_targets(src, 3, FM8, seed=5)
 
