@@ -279,8 +279,7 @@ def _run_single_fit(dataset, config, extras, ground_truth, out_dir,
         write_matrix_f64(out / f"theta_{m}.f64", model.theta)
         write_matrix_text(out / f"theta_{m}.txt", model.theta,
                           header + [f"target={model.schema.name}"])
-    (out / "config.resolved").write_text(
-        "\n".join(config_lines) + "\n", encoding="utf-8")
+    write_commented_text(out / "config.resolved", [], config_lines)
     inventory = [
         f"status={'aborted' if result is None else 'ok'}",
         f"W.f64 shape: {w_state.w.shape[0]} {w_state.w.shape[1]}",
@@ -288,8 +287,8 @@ def _run_single_fit(dataset, config, extras, ground_truth, out_dir,
     for m, model in enumerate(models):
         shape = " ".join(str(s) for s in np.atleast_2d(model.theta).shape)
         inventory.append(f"theta_{m}.f64 ({model.schema.name}) shape: {shape}")
-    (out / "run.txt").write_text(
-        "\n".join(banner + config_lines + inventory) + "\n", encoding="utf-8")
+    write_commented_text(out / "run.txt", [],
+                         banner + config_lines + inventory)
     return result
 
 

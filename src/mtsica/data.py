@@ -296,10 +296,10 @@ def write_matrix_f64(path, arr: np.ndarray) -> None:
 def read_matrix_f64(path, shape=None) -> np.ndarray:
     """Read a raw little-endian float64 array of ``shape``.
 
-    With ``shape=None`` the file must hold a square matrix; its size is
-    inferred from the byte count.  A file that cannot be opened raises
-    ``OSError``; a byte count that does not fit raises
-    :class:`DatasetFormatError`.
+    With ``shape=None`` the file must hold a square matrix of at least
+    one value; its size is inferred from the byte count.  A file that
+    cannot be opened raises ``OSError``; a byte count that does not fit
+    raises :class:`DatasetFormatError`.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -308,7 +308,7 @@ def read_matrix_f64(path, shape=None) -> np.ndarray:
         count = size // 8
         if shape is None:
             side = math.isqrt(count)
-            if side * side != count:
+            if side == 0 or side * side != count:
                 raise DatasetFormatError(
                     f"{path}: {count} values do not form a square matrix")
             shape = (side, side)

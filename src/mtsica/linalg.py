@@ -29,7 +29,9 @@ def serial_matmul(a: np.ndarray, b: np.ndarray,
     never split).  A block of one row or column would run numpy's
     matrix-vector kernel, so a last block of one overlaps the one before;
     a one-row ``a`` is such a product, which OpenBLAS threads above about
-    9000 entries.
+    9000 entries.  As blocks keep two rows and, when ``b`` has them, two
+    columns, a contraction longer than 2^16 can exceed the limit per
+    gemm, and OpenBLAS may thread such a gemm.
     Every entry is one gemm's sum over k; OpenBLAS picks its kernel by
     size, so the last bit may differ from one unsplit gemm's, but it does
     not depend on the thread count.
@@ -40,11 +42,11 @@ def serial_matmul(a: np.ndarray, b: np.ndarray,
         return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty(b.shape[:-2] + (m, n))
-    if 2 * k * n > _GEMM_MNK:
+    if n > 2 and 2 * k * n > _GEMM_MNK:
         for lo, hi in _blocks(n, max(2, _GEMM_MNK // (2 * k))):
             serial_matmul(a, b[..., lo:hi], out=out[..., lo:hi])
         return out
-    for lo, hi in _blocks(m, _GEMM_MNK // (k * n)):
+    for lo, hi in _blocks(m, max(2, _GEMM_MNK // (k * n))):
         np.matmul(a[lo:hi], b, out=out[..., lo:hi, :])
     return out
 

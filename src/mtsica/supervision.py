@@ -29,6 +29,7 @@ updates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,9 +68,7 @@ class FeatureMapConfig:
         return self.n_windows(n_samples) * self.n_bins
 
 
-_trig_cache: dict = {}
-
-
+@functools.cache
 def _trig(window: int) -> np.ndarray:
     """The read-only ``(window, 2 * n_bins)`` DFT table ``[cos | -sin]``.
 
@@ -79,17 +78,14 @@ def _trig(window: int) -> np.ndarray:
     imaginary part vanishes (k = 0 and, for even windows, Nyquist) are
     exact zeros.
     """
-    table = _trig_cache.get(window)
-    if table is None:
-        n_bins = window // 2 + 1
-        tk = np.arange(window)[:, None] * np.arange(n_bins)[None, :]
-        ang = (2.0 * np.pi / window) * (tk % window)
-        table = np.concatenate([np.cos(ang), -np.sin(ang)], axis=1)
-        table[:, n_bins] = 0.0
-        if window % 2 == 0:
-            table[:, -1] = 0.0
-        table.flags.writeable = False
-        _trig_cache[window] = table
+    n_bins = window // 2 + 1
+    tk = np.arange(window)[:, None] * np.arange(n_bins)[None, :]
+    ang = (2.0 * np.pi / window) * (tk % window)
+    table = np.concatenate([np.cos(ang), -np.sin(ang)], axis=1)
+    table[:, n_bins] = 0.0
+    if window % 2 == 0:
+        table[:, -1] = 0.0
+    table.flags.writeable = False
     return table
 
 
@@ -207,14 +203,15 @@ def head_loss_grads(model: SupervisedTargetModel, phi: np.ndarray,
                     if need_grad_phi else None)
     else:
         idx = labels.astype(np.int64)
-        logits = phi @ model.theta.T
+        logits = serial_matmul(phi, model.theta.T)
         peak = logits.max(axis=1, keepdims=True)
         lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
         losses = lse - logits[np.arange(b), idx]
         p = np.exp(logits - lse[:, None])
         p[np.arange(b), idx] -= 1.0
-        grad_theta = (p.T @ phi) / b if need_grad_theta else None
-        grad_phi = p @ model.theta if need_grad_phi else None
+        grad_theta = (serial_matmul(p.T, phi) / b
+                      if need_grad_theta else None)
+        grad_phi = serial_matmul(p, model.theta) if need_grad_phi else None
     return losses, grad_phi, grad_theta
 
 
@@ -253,7 +250,8 @@ def predict_batch(model: SupervisedTargetModel, batch: np.ndarray,
     phi = feature_map_batch(batch, cfg)
     if model.kind == KIND_CONTINUOUS:
         return phi @ model.theta
-    return np.argmax(phi @ model.theta.T, axis=1).astype(np.float64)
+    return np.argmax(serial_matmul(phi, model.theta.T),
+                     axis=1).astype(np.float64)
 
 
 # --- first-order parameter updates --------------------------------------

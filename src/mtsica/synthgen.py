@@ -145,6 +145,8 @@ def gen_dataset(recipe: str, seed: int, n_trials: int | None = None,
                   spec["n_targets"])
     if min(n, c, t) < 1:
         raise ValueError("dimensions must be positive")
+    if m < 0:
+        raise ValueError(f"n_targets must be non-negative, got {m}")
     if m > c:
         raise ValueError(f"n_targets {m} exceeds channels {c}")
 

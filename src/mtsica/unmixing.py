@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .data import _own_readonly
-from .linalg import serial_matmul
+from .linalg import _blocks, serial_matmul
 
 # the LAPACK Cholesky routines row_update calls, looked up once
 _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
@@ -90,7 +90,8 @@ def make_a_provider(w: np.ndarray, batch: np.ndarray, step):
               u_c[i, t] * z_i[:, t] z_i[:, t]^T
 
     The pass walks the (C, n*tau) columns in blocks of ``_A_BLOCK``.  Each
-    block gets x = W @ block once, in a reused buffer, and
+    block gets x = W @ block once, in a reused buffer (a last block of one
+    column takes it from the gemm of two that ``_blocks`` folds), and
     ``step(x, start, stop)`` turns it into the weights of columns
     ``start:stop`` (it may overwrite x and return it).  Then, for each
     row a, the block's products z_a z_b (b >= a) fill a second reused
@@ -105,16 +106,11 @@ def make_a_provider(w: np.ndarray, batch: np.ndarray, step):
     acc = np.zeros((len(upper), c_dim))   # acc[pair, c]
     pairs = np.empty((c_dim, min(_A_BLOCK, cols)))
     x_buf = np.empty_like(pairs)
-    for start in range(0, cols, _A_BLOCK):
-        block = flat[:, start:start + _A_BLOCK]
-        stop = start + block.shape[1]
-        x = x_buf[:, :block.shape[1]]
-        if stop - start == 1 and start > 0:
-            # one column takes another BLAS kernel than the gemm of a
-            # whole block; two columns take the same one
-            x[...] = (w @ flat[:, start - 1:stop])[:, 1:]
-        else:
-            serial_matmul(w, block, out=x)
+    start = 0
+    for lo, stop in _blocks(cols, _A_BLOCK):
+        x = serial_matmul(w, flat[:, lo:stop],
+                          out=x_buf[:, :stop - lo])[:, start - lo:]
+        block = flat[:, start:stop]
         u_t = step(x, start, stop).T
         row = 0
         for a in range(c_dim):
@@ -122,6 +118,7 @@ def make_a_provider(w: np.ndarray, batch: np.ndarray, step):
             np.multiply(block[a:], block[a], out=prod)
             acc[row:row + c_dim - a] += serial_matmul(prod, u_t)
             row += c_dim - a
+        start = stop
     acc /= cols
     a_set = np.empty((c_dim, c_dim, c_dim))
     a_set[:, upper, lower] = acc.T

@@ -156,6 +156,16 @@ def test_gen_feature_flags_need_targets(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gen_rejects_a_negative_target_count(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["gen", "--recipe", "supervision", "--seed", 0, "--trials", 4,
+                "--channels", 3, "--samples", 64, "--targets", -1,
+                "--window", 16, "--hop", 8, "--out", out]) == 2
+    assert capsys.readouterr().err == \
+        "error: n_targets must be non-negative, got -1\n"
+    assert not out.exists()
+
+
 def test_gen_out_on_an_existing_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep", encoding="utf-8")
@@ -734,6 +744,27 @@ def test_eval_w_names_the_mixing_file_for_a_bad_mixing(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad mixing file {path}: {why}\n"
+
+
+def test_an_empty_matrix_file_is_named_as_unreadable(tmp_path, capsys):
+    # zero values form no square matrix, so no 0 x 0 ground truth or W
+    # reaches the Amari distance
+    d = tmp_path / "ds"
+    gen_tiny(d)
+    w_path, empty = tmp_path / "w.f64", tmp_path / "empty.f64"
+    write_matrix_f64(w_path, np.eye(2))
+    empty.write_bytes(b"")
+    capsys.readouterr()
+    for argv in (["eval", "--w", w_path, "--mixing", empty],
+                 ["eval", "--w", empty, "--mixing", d / "mixing.f64"],
+                 ["fit", "--data", d, "--ground-truth", empty,
+                  "--out", tmp_path / "run"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot read matrix {empty}: {empty}: "
+                                f"0 values do not form a square matrix\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_holdout_scores_fitted_heads(tmp_path):

@@ -300,6 +300,9 @@ def test_matrix_f64_rejects_bad_sizes(tmp_path):
     write_matrix_f64(tmp_path / "r.f64", np.zeros((2, 3)))
     with pytest.raises(DatasetFormatError):
         read_matrix_f64(tmp_path / "r.f64")            # 6 values, not square
+    (tmp_path / "empty.f64").write_bytes(b"")
+    with pytest.raises(DatasetFormatError, match="0 values"):
+        read_matrix_f64(tmp_path / "empty.f64")        # no 0 x 0 matrix
     with pytest.raises(DatasetFormatError):
         read_matrix_f64(tmp_path / "r.f64", (4, 4))
 

@@ -11,10 +11,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_demo(prefix):
+    # under the warning policy pyproject.toml sets for the in-process tests
     script, = (ROOT / "demos").glob(f"{prefix}_*.py")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=600)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-W", "error::DeprecationWarning", str(script)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=600)
 
 
 @pytest.mark.parametrize("prefix", ["01", "02", "04"])

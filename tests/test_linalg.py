@@ -98,6 +98,14 @@ def test_serial_matmul_fills_out():
                                atol=1e-13 * np.abs(into).max())
 
 
+def test_serial_matmul_returns_for_a_contraction_longer_than_2_to_16():
+    # at k = 70000 no block of two rows and two columns stays under the
+    # limit, so the product is one 2 x 70000 x 2 gemm
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=(2, 70000)), rng.normal(size=(70000, 2))
+    assert serial_matmul(a, b).tobytes() == (a @ b).tobytes()
+
+
 @pytest.mark.parametrize("c_dim", [3, 10, 11, 13])
 def test_serial_matmul_keeps_the_bits_of_w_at_block(c_dim):
     # the A_c pass's W @ block (4000 columns): blocks of rows, a last

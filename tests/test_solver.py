@@ -252,6 +252,31 @@ def test_eval_head_sources_do_not_depend_on_blas_threads():
     assert outs[0] and outs[0] == outs[1]
 
 
+# a 3-class head's gradients on 2000 feature rows; prints their sha256
+_CATEGORICAL_GRADS = """
+import hashlib
+import numpy as np
+from mtsica.data import TargetSchema
+from mtsica.supervision import SupervisedTargetModel, head_loss_grads
+rng = np.random.default_rng(0)
+phi = rng.normal(size=(2000, 231))
+model = SupervisedTargetModel(TargetSchema("y", "categorical", n_classes=3),
+                              rng.normal(size=(3, 231)))
+labels = rng.integers(0, 3, size=2000).astype(np.float64)
+_, grad_phi, grad_theta = head_loss_grads(model, phi, labels)
+print(hashlib.sha256(grad_phi.tobytes()).hexdigest(),
+      hashlib.sha256(grad_theta.tobytes()).hexdigest())
+"""
+
+
+def test_categorical_head_grads_do_not_depend_on_blas_threads():
+    # the logits and both gradients run as serial_matmul; np.matmul of
+    # these 1.4M multiply-adds runs threaded and gave other bytes under
+    # 2 threads than under 1
+    outs = _child_outputs(_CATEGORICAL_GRADS)
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_full_size_minibatches_reproduce_full_batch(tmp_path):
     # a batch that covers the dataset takes the full batch path: same W,
     # heads and trace bytes
