@@ -344,6 +344,10 @@ def _parse_seed_range(text: str):
 
 def cmd_eval(args) -> int:
     if args.w:
+        for flag, value in (("--run", args.run), ("--data", args.data),
+                            ("--holdout", args.holdout)):
+            if value is not None:
+                raise CliError(f"--w does not take {flag}")
         if not args.mixing:
             raise CliError("--w requires --mixing for the ground truth")
         mixing = _read_mixing(args.mixing)
@@ -367,6 +371,8 @@ def cmd_eval(args) -> int:
 
     if not (args.run and args.data and args.holdout is not None):
         raise CliError("eval needs either --w/--mixing or --run/--data/--holdout")
+    if args.mixing is not None:
+        raise CliError("--run does not take --mixing")
     if not 0.0 < args.holdout <= 1.0:
         raise CliError("--holdout must be a fraction in (0, 1]")
     dataset = _load_dataset(args.data)
@@ -488,9 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output run directory")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--seeds", help="A..B inclusive seed sweep "
-                                   "(one run per seed, one after another)")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="override config seed")
+    seeds.add_argument("--seeds", help="A..B inclusive seed sweep "
+                                       "(one run per seed, one after another)")
     p.add_argument("--center", action="store_true",
                    help="subtract the global per-channel mean before fitting")
     p.add_argument("--rescale", action="store_true",

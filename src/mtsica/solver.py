@@ -354,8 +354,8 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
     def record(k):
         """Append the full-dataset objective values at the current W and
         theta.  ``sums``, when set, holds the sums of |W z| and of the
-        bound; else they are added up here over blocks of trials
-        (:func:`_trial_blocks`) in order, one component at a time, at the
+        bound; else they are added up here over blocks of ``per_block``
+        trials in order, one component at a time, at the
         exact weights of W or at the stored ones, which row 0's walk sets
         to those of W0.  The heads' per-trial losses go into one (N,) array
         per head, summed once at the end.  A ``W @ ground_truth`` that
@@ -364,8 +364,10 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
         """
         head_losses = np.empty((n_targets, n_trials))
         totals = np.zeros(2) if sums is None else sums
-        for lo, hi in (_trial_blocks(n_trials, samples)
-                       if models or sums is None else ()):
+        per_block = max(1, _SNAP_ENTRIES // samples)
+        for lo in (range(0, n_trials, per_block)
+                   if models or sums is None else ()):
+            hi = min(lo + per_block, n_trials)
             x = serial_matmul(state.w, z[lo:hi]).transpose(1, 0, 2)
             for c in range(channels if sums is None else 0):
                 if exact:
@@ -471,10 +473,3 @@ def _draw_invertible_init(rng, channels, scale):
             continue
     raise ValueError(f"init_scale = {scale:g} gives no invertible initial W "
                      f"in 100 draws from seed {rng.seed}")
-
-
-def _trial_blocks(n_trials, samples):
-    """(lo, hi) bounds of consecutive blocks of ``_SNAP_ENTRIES // T``
-    trials (at least one; the last block may be shorter)."""
-    step = max(1, _SNAP_ENTRIES // samples)
-    return [(lo, min(lo + step, n_trials)) for lo in range(0, n_trials, step)]

@@ -333,20 +333,17 @@ def source_lipschitz(model: SupervisedTargetModel, cfg: FeatureMapConfig,
     label = (label_bound if model.kind == KIND_CONTINUOUS else 0.0)
     best = 0.0
     for _ in range(_LIPSCHITZ_PAIRS):
-        pair = []
+        points, grads = [], []
         for _ in range(2):
-            g = rng.normals(n_samples)
-            g *= radius * rng.random() / max(np.linalg.norm(g), 1e-12)
-            pair.append(g)
-        _, g0, _ = batch_loss_grads(model, pair[0][None, :],
-                                    np.array([label]), cfg,
-                                    need_grad_theta=False)
-        _, g1, _ = batch_loss_grads(model, pair[1][None, :],
-                                    np.array([label]), cfg,
-                                    need_grad_theta=False)
-        gap = np.linalg.norm(pair[0] - pair[1])
+            s = rng.normals(n_samples)
+            s *= radius * rng.random() / max(np.linalg.norm(s), 1e-12)
+            points.append(s)
+            grads.append(batch_loss_grads(model, s[None, :],
+                                          np.array([label]), cfg,
+                                          need_grad_theta=False)[1][0])
+        gap = np.linalg.norm(points[0] - points[1])
         if gap > 1e-9:
-            best = max(best, float(np.linalg.norm(g0[0] - g1[0]) / gap))
+            best = max(best, float(np.linalg.norm(grads[0] - grads[1]) / gap))
     return 2.0 * best
 
 

@@ -126,14 +126,10 @@ def gen_dataset(recipe: str, seed: int, n_trials: int | None = None,
     if recipe not in RECIPES:
         raise ValueError(f"unknown recipe {recipe!r}; choose from {sorted(RECIPES)}")
     spec = dict(RECIPES[recipe])
-    if n_trials is not None:
-        spec["n_trials"] = n_trials
-    if channels is not None:
-        spec["channels"] = channels
-    if samples is not None:
-        spec["samples"] = samples
-    if n_targets is not None:
-        spec["n_targets"] = n_targets
+    for key, value in (("n_trials", n_trials), ("channels", channels),
+                       ("samples", samples), ("n_targets", n_targets)):
+        if value is not None:
+            spec[key] = value
     if kappa is not None:
         if spec["mixing"] != "hilbert":
             raise ValueError(f"kappa sets the Hilbert mixing's condition; "

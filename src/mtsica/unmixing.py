@@ -95,15 +95,18 @@ def make_a_provider(w: np.ndarray, batch: np.ndarray, step):
     ``step(x, start, stop)`` turns it into the weights of columns
     ``start:stop`` (it may overwrite x and return it).  Then, for each
     row a, the block's products z_a z_b (b >= a) fill a second reused
-    buffer and add one matrix product with the weights, so all C matrices
-    cost one read of the batch and no (n*tau) x C^2 array is ever built.
-    Every product stays on the calling thread (:func:`serial_matmul`).
-    Each A_c is filled from its upper triangle and so is exactly symmetric.
+    buffer and add one matrix product with the weights into every
+    ``A_c[a, b]``, b >= a, so all C matrices cost one read of the batch
+    and no (n*tau) x C^2 array is ever built.  Every product stays on the
+    calling thread (:func:`serial_matmul`).  Each A_c is filled from its
+    upper triangle, then mirrored, and so is exactly symmetric.
     """
     flat = batch.reshape(len(w), -1)
     c_dim, cols = flat.shape
-    upper, lower = np.triu_indices(c_dim)
-    acc = np.zeros((len(upper), c_dim))   # acc[pair, c]
+    # acc[a, b, c] = n*tau * A_c[a, b] for b >= a: row a's products add
+    # into one contiguous slice (a strided add into a_set[:, a, a:] took
+    # ~2.5x as long, 5% of the pass at C = 10)
+    acc = np.zeros((c_dim, c_dim, c_dim))
     pairs = np.empty((c_dim, min(_A_BLOCK, cols)))
     x_buf = np.empty_like(pairs)
     start = 0
@@ -112,17 +115,15 @@ def make_a_provider(w: np.ndarray, batch: np.ndarray, step):
                           out=x_buf[:, :stop - lo])[:, start - lo:]
         block = flat[:, start:stop]
         u_t = step(x, start, stop).T
-        row = 0
         for a in range(c_dim):
             prod = pairs[:c_dim - a, :block.shape[1]]
             np.multiply(block[a:], block[a], out=prod)
-            acc[row:row + c_dim - a] += serial_matmul(prod, u_t)
-            row += c_dim - a
+            acc[a, a:] += serial_matmul(prod, u_t)
         start = stop
-    acc /= cols
-    a_set = np.empty((c_dim, c_dim, c_dim))
-    a_set[:, upper, lower] = acc.T
-    a_set[:, lower, upper] = acc.T
+    a_set = np.ascontiguousarray(acc.transpose(2, 0, 1))   # a_set[c] = A_c
+    a_set /= cols
+    lower, upper = np.tril_indices(c_dim, -1)
+    a_set[:, lower, upper] = a_set[:, upper, lower]
     return a_set.__getitem__
 
 

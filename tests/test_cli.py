@@ -688,6 +688,20 @@ def test_fit_seed_sweep_matches_single_runs(tmp_path):
                     "--seeds", seeds]) == 2, seeds
 
 
+def test_fit_seed_and_seeds_together_exit_2_before_any_run(tmp_path, capsys):
+    # --seed would be dropped silently in a sweep
+    d = tmp_path / "ds"
+    gen_tiny(d)
+    cfg = write_cfg(tmp_path / "cfg", ["iterations=1"])
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert run(["fit", "--data", d, "--config", cfg, "--out", out,
+                "--seeds", "0..1", "--seed", "5"]) == 2
+    assert "argument --seed: not allowed with argument --seeds" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- eval ---
 
 def test_eval_amari_of_inverse_mixing_is_zero(tmp_path, capsys):
@@ -814,6 +828,30 @@ def test_eval_usage_errors(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len([l for l in err if l.startswith("error:")]) == 6
     assert "W.f64 does not match" in err[-2]
+
+
+def test_eval_rejects_the_other_modes_flags(tmp_path, capsys):
+    # each mode names the flag it does not take, before it reads anything
+    d = tmp_path / "ds"
+    gen_tiny(d)
+    rund = tmp_path / "r"
+    cfg = write_cfg(tmp_path / "cfg", ["iterations=1"])
+    assert run(["fit", "--data", d, "--config", cfg, "--out", rund]) == 0
+    w_mode = ["eval", "--w", rund / "W.f64", "--mixing", d / "mixing.f64"]
+    run_mode = ["eval", "--run", rund, "--data", d, "--holdout", "0.5"]
+    capsys.readouterr()
+    for argv, flag in [(w_mode + ["--run", rund], "--run"),
+                       (w_mode + ["--data", d], "--data"),
+                       (w_mode + ["--holdout", "0.5"], "--holdout")]:
+        assert run(argv) == 2, flag
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --w does not take {flag}\n"
+    assert run(run_mode + ["--mixing", d / "mixing.f64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --run does not take --mixing\n"
+    assert run(w_mode) == 0 and run(run_mode) == 0   # each mode alone
 
 
 def test_eval_out_in_a_missing_directory_exits_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""The demo scripts run to completion against the package in ``src``."""
+"""The demo scripts and the README's library quick start run to
+completion against the package in ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +12,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_demo(prefix):
+def run_python(*args):
     # under the warning policy pyproject.toml sets for the in-process tests
-    script, = (ROOT / "demos").glob(f"{prefix}_*.py")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning",
-         "-W", "error::DeprecationWarning", str(script)],
+         "-W", "error::DeprecationWarning", *args],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=600)
+
+
+def run_demo(prefix):
+    script, = (ROOT / "demos").glob(f"{prefix}_*.py")
+    return run_python(str(script))
 
 
 @pytest.mark.parametrize("prefix", ["01", "02", "04"])
@@ -26,6 +32,17 @@ def test_demo_runs(prefix):
     assert done.returncode == 0, done.stderr
     if prefix == "04":   # full-batch exact and proximal fits, traced
         assert "monotone: True" in done.stdout
+
+
+def test_readme_quick_start_prints_its_documented_amari():
+    # the number is read from the block's own comment, so the two agree
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    documented = re.search(r"amari\)\s+# (\d+\.(\d+))", block)
+    done = run_python("-c", block)
+    assert done.returncode == 0, done.stderr
+    printed = float(done.stdout)
+    assert f"{printed:.{len(documented[2])}f}" == documented[1], printed
 
 
 @pytest.mark.slow

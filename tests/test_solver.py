@@ -717,7 +717,6 @@ def test_blocked_snapshot_matches_whole_array_oracle(fit, eta_a,
                       None if aux is None else aux.copy())
 
     monkeypatch.setattr(solver, "_SNAP_ENTRIES", 3 * 64 - 1)
-    assert solver._trial_blocks(7, 64) == [(0, 2), (2, 4), (4, 6), (6, 7)]
     res = fit(ds, cfg, ground_truth=mixing, _iter_hook=hook)
     assert np.array_equal(res.w_state.w, default.w_state.w)
     for got, want in zip(res.models, default.models):
