@@ -378,13 +378,17 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
                 totals += (np.abs(x[c]).sum(),
                            variational_value(x[c], aux[c, lo:hi]).sum())
             for m, model in enumerate(models):
-                head_losses[m, lo:hi] = batch_loss_grads(
-                    model, x[m], labels[lo:hi, m], fm_cfg, need_grad_s=False,
-                    need_grad_theta=False)[0]
+                # a diverged head's losses overflow: the trace row keeps
+                # the inf and the next iteration's check aborts the fit
+                with np.errstate(over="ignore", invalid="ignore"):
+                    head_losses[m, lo:hi] = batch_loss_grads(
+                        model, x[m], labels[lo:hi, m], fm_cfg,
+                        need_grad_s=False, need_grad_theta=False)[0]
             del x  # one block of sources alive at a time
         loss_sup = 0.0
-        for losses in head_losses:
-            loss_sup += float(losses.sum() / n_trials)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for losses in head_losses:
+                loss_sup += float(losses.sum() / n_trials)
         scale = n_trials * samples
         f_value = float(-state.logabsdet + totals[1] / scale
                         + config.lam * loss_sup
@@ -408,7 +412,8 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
             if stochastic:
                 trials_k = rng.subset(n_trials, batch_n)
                 times_k = rng.subset(samples, batch_tau)
-                cols = (trials_k[:, None] * samples + times_k).ravel()
+                if not exact:    # the proximal step's columns
+                    cols = (trials_k[:, None] * samples + times_k).ravel()
                 sub = z[trials_k]
                 batch = np.ascontiguousarray(     # (C, n, tau)
                     np.take(sub, times_k, axis=2).transpose(1, 0, 2))
@@ -422,8 +427,9 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
             thetas = [model.theta for model in models]
             for m, (model, opt) in enumerate(zip(models, optimizers)):
                 phi, ctx = supervision._forward(heads[:, m], fm_cfg)
-                losses, _, grad = head_loss_grads(
-                    model, phi, labels_k[:, m], need_grad_phi=False)
+                with np.errstate(over="ignore", invalid="ignore"):  # checked
+                    losses, _, grad = head_loss_grads(
+                        model, phi, labels_k[:, m], need_grad_phi=False)
                 if not np.all(np.isfinite(losses)):
                     for head, theta in zip(models, thetas):
                         head.theta = theta      # the last good heads

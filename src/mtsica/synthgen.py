@@ -17,7 +17,6 @@ trials are requested, and generation is reproducible and parallel-safe.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset, TargetSchema
 from .metrics import check_mixing
@@ -76,8 +75,8 @@ def gen_hilbert_mixing(channels: int, kappa: float, seed: int) -> np.ndarray:
     """
     if kappa < 0.0:
         raise ValueError("kappa must be >= 0")
-    h = scipy.linalg.hilbert(channels)
-    _, evecs = np.linalg.eigh(h)
+    i = np.arange(channels, dtype=np.float64)
+    _, evecs = np.linalg.eigh(1.0 / (1.0 + np.add.outer(i, i)))  # Hilbert
     order = Xoshiro256pp(seed).permutation(channels)
     # e^kappa overflows past kappa ~ 709.78; check_mixing rejects the inf
     # and NaN entries that follow

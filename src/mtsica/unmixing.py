@@ -23,14 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-import scipy.linalg
 
 from .data import _own_readonly
 from .linalg import _blocks, serial_matmul
-
-# the LAPACK Cholesky routines row_update calls, looked up once
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
-                                               (np.empty(0),))
 
 
 class FactorizationError(RuntimeError):
@@ -165,8 +160,9 @@ def row_update(state: UnmixingState, a_c: np.ndarray, b_mat: np.ndarray,
         K = W (A_c + I/eta_u) W^T
         b = W (W_c / eta_u - lam * B_c)
 
-    K is factored once (LAPACK ``dpotrf``) and both solves share one
-    ``dpotrs`` call.  The stationary condition gives the positive branch
+    A Cholesky factorization checks that K is positive definite, and one
+    solve of K against ``[e_c, b]`` gives both vectors.  The stationary
+    condition gives the positive branch
 
         r_c = sqrt((K^{-1})_cc + ((K^{-1} b)_c)^2 / 4) + (K^{-1} b)_c / 2
         r   = K^{-1} (e_c / r_c + b)
@@ -188,21 +184,21 @@ def row_update(state: UnmixingState, a_c: np.ndarray, b_mat: np.ndarray,
     inv_eta = 1.0 / eta_u   # 0.0 at inf
     inner = a_c + inv_eta * np.eye(c_dim)
     k_mat = w @ inner @ w.T
-    k_mat = 0.5 * (k_mat + k_mat.T)   # exactly symmetric, so k_mat.T is
-    # the same matrix in the Fortran order LAPACK takes without a copy
+    # exactly symmetric: the Cholesky reads one triangle, the solve both
+    k_mat = 0.5 * (k_mat + k_mat.T)
     b_vec = w @ (inv_eta * w[comp] - lam * b_mat[comp])
-    factor, info = _potrf(k_mat.T, lower=True, overwrite_a=True, clean=False)
-    if info != 0:
-        raise FactorizationError(
-            f"row {comp}: K not positive definite: {info}-th leading minor "
-            f"of the array is not positive definite")
-    rhs = np.zeros((c_dim, 2), order="F")
+    rhs = np.zeros((c_dim, 2))
     rhs[comp, 0] = 1.0
     rhs[:, 1] = b_vec
-    sol, info = _potrs(factor, rhs, lower=True, overwrite_b=True)
+    try:
+        np.linalg.cholesky(k_mat)
+        sol = np.linalg.solve(k_mat, rhs)
+    except np.linalg.LinAlgError:
+        raise FactorizationError(
+            f"row {comp}: K not positive definite") from None
     kinv_ec, kinv_b = sol[:, 0], sol[:, 1]
     kcc = kinv_ec[comp]
-    if info != 0 or not kcc > 0.0 or not np.isfinite(kcc):
+    if not kcc > 0.0 or not np.isfinite(kcc):
         raise FactorizationError(f"row {comp}: K^-1 diagonal not positive")
     half_b = 0.5 * kinv_b[comp]
     r_c = np.sqrt(kcc + half_b * half_b) + half_b

@@ -669,6 +669,21 @@ def test_fit_diverging_head_exits_3_and_names_the_head(tmp_path, capsys):
     assert np.isfinite(read_matrix_f64(out / "theta_0.f64", (135,))).all()
 
 
+def test_fit_divergence_prints_only_the_abort_line(tmp_path):
+    # the default config diverges on this dataset; the overflow of the
+    # heads' losses reaches stderr as the abort line, not as numpy warnings
+    d = tmp_path / "ds"
+    assert run(["gen", "--recipe", "supervision", "--seed", 7, "--out", d,
+                "--trials", 4, "--channels", 2, "--samples", 64,
+                "--targets", 2, "--kappa", 5, "--log-power"]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtsica", "fit", "--data", str(d),
+         "--out", str(tmp_path / "run"), "--seed", "3"],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == "fit aborted numerically; partial outputs written\n"
+
+
 def test_fit_seed_sweep_matches_single_runs(tmp_path):
     d = tmp_path / "ds"
     gen_tiny(d)

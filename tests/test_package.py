@@ -23,15 +23,34 @@ def test_package_namespace_holds_only_the_version():
     assert out.strip() == "[]"
 
 
-def test_light_modules_import_without_scipy():
-    # scipy is loaded by the solver's Cholesky steps, synthgen's Hilbert
-    # matrix and linalg's Lanczos call only
-    code = ("import sys, mtsica.prng, mtsica.data, mtsica.supervision, "
-            "mtsica.metrics; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=ENV,
+def test_light_modules_import_without_scipy(tmp_path):
+    # only linalg.operator_norm loads scipy (its Lanczos call), so neither
+    # an import nor a gen, fit, eval and baseline session loads it
+    code = """
+import sys
+import mtsica.cli, mtsica.data, mtsica.metrics, mtsica.prng, mtsica.solver
+import mtsica.supervision, mtsica.synthgen, mtsica.unmixing
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+
+print(scipy_modules())
+with open('cfg', 'w') as fh:
+    fh.write('iterations=2\\nwindow=8\\nhop=4\\n')
+for argv in [
+        ['gen', '--recipe', 'supervision', '--seed', '0', '--out', 'd',
+         '--trials', '4', '--channels', '3', '--samples', '32',
+         '--targets', '1', '--window', '8', '--hop', '4'],
+        ['fit', '--data', 'd', '--config', 'cfg', '--out', 'run'],
+        ['eval', '--w', 'run/W.f64', '--mixing', 'd/mixing.f64'],
+        ['baseline', '--data', 'd']]:
+    assert mtsica.cli.main(argv) == 0, argv
+print(scipy_modules())
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=ENV, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[0] == "[]"
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_modules_use_every_name_they_import():

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mtsica import unmixing
 from mtsica.data import TargetSchema
@@ -320,6 +321,28 @@ def test_row_update_satisfies_stationarity():
         resid = k @ r - e / r[comp] - b
         assert np.max(np.abs(resid)) < 1e-8 * max(1.0, np.abs(k @ r).max())
         assert r[comp] > 0.0
+    # the closed form solved with scipy's Cholesky, on well-conditioned K
+    for c_dim in range(2, 13):
+        for eta_u in (0.5, np.inf):
+            m = rng.normal(size=(c_dim, c_dim))
+            a_c = m @ m.T / c_dim + 0.5 * np.eye(c_dim)
+            w = np.eye(c_dim) + 0.3 / np.sqrt(c_dim) * rng.normal(
+                size=(c_dim, c_dim))
+            b_mat = 0.3 * rng.normal(size=(c_dim, c_dim))
+            comp = int(rng.integers(0, c_dim))
+            new = row_update(UnmixingState.from_matrix(w), a_c, b_mat, comp,
+                             eta_u, 0.05)
+            inv_eta = 0.0 if np.isinf(eta_u) else 1.0 / eta_u
+            k = w @ (a_c + inv_eta * np.eye(c_dim)) @ w.T
+            rhs = np.zeros((c_dim, 2))
+            rhs[comp, 0] = 1.0
+            rhs[:, 1] = w @ (inv_eta * w[comp] - 0.05 * b_mat[comp])
+            sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(k), rhs)
+            half_b = 0.5 * sol[comp, 1]
+            r_c = np.sqrt(sol[comp, 0] + half_b * half_b) + half_b
+            want = (sol[:, 0] / r_c + sol[:, 1]) @ w
+            assert np.max(np.abs(new.w[comp] - want)) <= \
+                1e-12 * np.abs(want).max(), (c_dim, eta_u)
 
 
 def test_row_update_is_local_minimum():
@@ -373,7 +396,8 @@ def test_row_update_rejects_singular_surrogate():
     dup = np.concatenate([z, z], axis=1)              # (2, 2, 6) rank-1 rows
     a_c = compute_A_c(np.ones((2, 6)), dup, full_idx(2), full_idx(6))
     st = UnmixingState.from_matrix(np.eye(2))
-    with pytest.raises(FactorizationError):
+    with pytest.raises(FactorizationError,
+                       match="^row 0: K not positive definite$"):
         row_update(st, a_c, np.zeros((2, 2)), 0, np.inf, 0.0)
 
 
