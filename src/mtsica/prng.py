@@ -230,6 +230,7 @@ class Xoshiro256ppStreams:
             x <<= _U23
             x |= hi
             x += w0
+            del w0, hi      # only the outputs stay alive while they are read
             yield j0, x
 
     def laplace_block(self, count: int) -> np.ndarray:
@@ -238,11 +239,20 @@ class Xoshiro256ppStreams:
         Entry ``[i, j]`` is ``-sign(v) * log1p(-2|v|)`` with
         ``v = _open_unit(u) - 0.5`` of stream i's j-th output: the inverse
         CDF, applied to one chunk of :meth:`_u64_chunks` at a time, so the
-        temporaries stay chunk-sized whatever ``count`` is.
+        temporaries stay chunk-sized whatever ``count`` is.  The steps run
+        in place on two chunk arrays, and no chunk array outlives its chunk,
+        so at most three are alive at once.  Each product and negation is
+        exact, so the steps give the bits of the formula.
         """
         out = np.empty((self.n_streams, count))
         for j0, u64 in self._u64_chunks(count):
-            v = _open_unit(u64) - 0.5
-            lap = -np.sign(v) * np.log1p(-2.0 * np.abs(v))
+            v = _open_unit(u64)
+            del u64
+            v -= 0.5
+            lap = np.abs(v)
+            lap *= -2.0
+            np.log1p(lap, out=lap)
+            lap *= np.negative(np.sign(v, out=v), out=v)
             out[:, j0:j0 + len(lap)] = lap.T
+            del v, lap
         return out

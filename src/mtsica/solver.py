@@ -10,7 +10,8 @@ One outer iteration is one straight pass over one gathered minibatch:
    fit, which draws nothing and makes the copy once, before iteration 1;
 2. step every supervised head theta with its first-order rule, using the
    gradient of the mean supervised loss at the current W (a head whose
-   minibatch loss is not finite aborts the fit before any theta moves);
+   minibatch loss is not finite aborts the fit before any theta moves,
+   and so does one whose loss in a trace row is not finite);
 3. make one blocked pass over the batch (:func:`make_a_provider`) that
    computes each block's ``W z`` once, its auxiliary weights and its
    share of every A_c.  The aux step, chosen before iteration 1, gives
@@ -351,6 +352,14 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
             aux_flat[:, at] = u
             return u
 
+    def diverged(m, k):
+        """The abort for head m at iteration k: W and every head go back
+        to where iteration k started."""
+        for head, theta in zip(models, thetas):
+            head.theta = theta
+        return SolverAbort(f"numerical abort: head {m} diverged at "
+                           f"iteration {k}", trace, start, models)
+
     def record(k):
         """Append the full-dataset objective values at the current W and
         theta.  ``sums``, when set, holds the sums of |W z| and of the
@@ -358,8 +367,9 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
         trials in order, one component at a time, at the
         exact weights of W or at the stored ones, which row 0's walk sets
         to those of W0.  The heads' per-trial losses go into one (N,) array
-        per head, summed once at the end.  A ``W @ ground_truth`` that
-        :func:`amari_distance` cannot score (it overflowed) raises
+        per head, summed once at the end; a head whose sum is not finite
+        aborts the fit and the row is not appended.  A ``W @ ground_truth``
+        that :func:`amari_distance` cannot score (it overflowed) raises
         :class:`FactorizationError`.
         """
         head_losses = np.empty((n_targets, n_trials))
@@ -378,17 +388,19 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
                 totals += (np.abs(x[c]).sum(),
                            variational_value(x[c], aux[c, lo:hi]).sum())
             for m, model in enumerate(models):
-                # a diverged head's losses overflow: the trace row keeps
-                # the inf and the next iteration's check aborts the fit
+                # a diverged head's losses overflow: checked below
                 with np.errstate(over="ignore", invalid="ignore"):
                     head_losses[m, lo:hi] = batch_loss_grads(
                         model, x[m], labels[lo:hi, m], fm_cfg,
                         need_grad_s=False, need_grad_theta=False)[0]
             del x  # one block of sources alive at a time
         loss_sup = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for losses in head_losses:
-                loss_sup += float(losses.sum() / n_trials)
+        for m, losses in enumerate(head_losses):
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = float(losses.sum() / n_trials)
+            if not np.isfinite(loss):
+                raise diverged(m, k)
+            loss_sup += loss
         scale = n_trials * samples
         f_value = float(-state.logabsdet + totals[1] / scale
                         + config.lam * loss_sup
@@ -404,11 +416,13 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
             k, float(-state.logabsdet + totals[0] / scale), loss_sup,
             f_value, amari, (time.perf_counter() - t_start) * 1000.0))
 
+    start, thetas = state, [model.theta for model in models]
     try:
         record(0)
         if _iter_hook is not None:
             _iter_hook(0, state, models, aux_view)
         for k in range(1, config.iterations + 1):
+            start, thetas = state, [model.theta for model in models]
             if stochastic:
                 trials_k = rng.subset(n_trials, batch_n)
                 times_k = rng.subset(samples, batch_tau)
@@ -424,18 +438,13 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
                 del sub
 
             grad_s = []
-            thetas = [model.theta for model in models]
             for m, (model, opt) in enumerate(zip(models, optimizers)):
                 phi, ctx = supervision._forward(heads[:, m], fm_cfg)
                 with np.errstate(over="ignore", invalid="ignore"):  # checked
                     losses, _, grad = head_loss_grads(
                         model, phi, labels_k[:, m], need_grad_phi=False)
                 if not np.all(np.isfinite(losses)):
-                    for head, theta in zip(models, thetas):
-                        head.theta = theta      # the last good heads
-                    raise SolverAbort(
-                        f"numerical abort: head {m} diverged at iteration "
-                        f"{k}", trace, state, models)
+                    raise diverged(m, k)
                 model.theta = optimizer_step(opt, model.theta, grad,
                                              config.mu)
                 if coupled:

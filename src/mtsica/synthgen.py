@@ -10,8 +10,11 @@ Two recipes mirror the evaluation protocols the solver is designed for:
   eigenbasis with a controlled condition number e^kappa.
 
 Trials are generated from independent per-trial random streams derived
-from the root seed, so the content of trial i does not depend on how many
-trials are requested, and generation is reproducible and parallel-safe.
+from the root seed, so trial i's sources and signals, and the mixing, do
+not depend on how many trials are requested, and generation is
+reproducible and parallel-safe.  ``supervision`` labels agree across
+trial counts only to rounding: the blocks of the features' DFT and the
+labels' matrix-vector product change with the count.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .supervision import FeatureMapConfig, feature_map_batch
 TAG_SOURCES = 0x01
 TAG_MIXING = 0x02
 TAG_TARGETS = 0x03
+
+# gen_dataset mixes the sources in place, this many entries at a time
+_MIX_BLOCK_ENTRIES = 1 << 12
 
 # gen_gaussian_mixing redraws a matrix above this condition number
 _MIXING_COND_MAX = 1e8
@@ -151,16 +157,35 @@ def gen_dataset(recipe: str, seed: int, n_trials: int | None = None,
         mixing = gen_gaussian_mixing(c, mix_seed)
     else:
         mixing = gen_hilbert_mixing(c, float(spec["kappa"]), mix_seed)
-    signals = np.einsum("cd,ndt->nct", mixing, sources)
 
-    if m:
+    if m:  # the labels read the sources before the mix overwrites them
         labels = gen_regression_targets(
             sources, m, fm_cfg, derive_stream_seed(seed, TAG_TARGETS))
         targets = tuple(TargetSchema(f"y{j}", "continuous") for j in range(m))
     else:
         labels = np.zeros((n, 0))
         targets = ()
-    del sources
+    signals = _mix_in_place(mixing, sources)
     # nothing else holds ``signals``: read-only, Dataset keeps it uncopied
     signals.flags.writeable = False
     return Dataset(signals, labels, targets), mixing
+
+
+def _mix_in_place(mixing: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Overwrite ``sources`` (N, C, T) with ``mixing @ sources[i]`` for
+    every trial i, and return it.
+
+    A block is whole trials, or time chunks of one trial when a trial has
+    more than ``_MIX_BLOCK_ENTRIES`` entries, so the only temporary is one
+    block.  einsum sums each output entry over the C sources in order and
+    calls no BLAS, so the blocks give the bytes of one einsum over the
+    whole array, under any thread count.
+    """
+    n, c, t = sources.shape
+    width = min(t, max(1, _MIX_BLOCK_ENTRIES // c))
+    per_block = max(1, _MIX_BLOCK_ENTRIES // (c * width))
+    for lo in range(0, n, per_block):
+        for t0 in range(0, t, width):
+            block = sources[lo:lo + per_block, :, t0:t0 + width]
+            block[...] = np.einsum("cd,ndt->nct", mixing, block)
+    return sources

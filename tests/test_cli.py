@@ -684,6 +684,28 @@ def test_fit_divergence_prints_only_the_abort_line(tmp_path):
     assert proc.stderr == "fit aborted numerically; partial outputs written\n"
 
 
+def test_fit_whose_last_trace_row_overflows_exits_3(tmp_path):
+    # the dataset above at 50 iterations: the heads' losses overflow first
+    # in row 50, after which no minibatch check runs.  The row is dropped,
+    # so the trace and the outputs end at iteration 49.
+    d = tmp_path / "ds"
+    assert run(["gen", "--recipe", "supervision", "--seed", 7, "--out", d,
+                "--trials", 4, "--channels", 2, "--samples", 64,
+                "--targets", 2, "--kappa", 5, "--log-power"]) == 0
+    cfg = write_cfg(tmp_path / "cfg", ["iterations=50"])
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtsica", "fit", "--data", str(d),
+         "--config", str(cfg), "--out", str(out), "--seed", "3"],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == "fit aborted numerically; partial outputs written\n"
+    assert "diverged at iteration 50" in (out / "run.txt").read_text()
+    rows = trace_rows(out)
+    assert rows[0] == Trace.HEADER and len(rows) == 51
+    assert rows[-1].startswith("49,") and "inf" not in rows[-1]
+
+
 def test_fit_seed_sweep_matches_single_runs(tmp_path):
     d = tmp_path / "ds"
     gen_tiny(d)

@@ -791,7 +791,38 @@ def test_diverging_head_aborts_with_last_good_state():
     # raw spectral powers and a large head step: theta blows up while
     # lambda = 0 leaves W alone, so only the heads' own losses show it.
     # Here head 1 diverges first, after head 0 took its step of that
-    # iteration, and the abort hands back both heads as they were.
+    # iteration, and the abort hands back both heads as they were.  Trace
+    # rows come only at k = 0 and 60: the row of iteration k - 1 reads
+    # every trial at the W and theta the minibatch check reads at k, so it
+    # would abort first (see the next test).
+    ds, _ = gen_dataset("supervision", 1, n_trials=40, channels=3,
+                        samples=128, n_targets=2, fm_cfg=FM16)
+    cfg = SolverConfig(iterations=60, eta_p=0.1, lam=0.0, batch_trials=16,
+                       batch_times=64, window=16, hop=8, trace_every=60)
+    seen = {}
+
+    def hook(k, state, models, aux):
+        seen[k] = (state.w, [m.theta.copy() for m in models])
+
+    with pytest.raises(SolverAbort,
+                       match=r"head \d diverged at iteration \d+$") as exc:
+        fit_stochastic(ds, cfg, _iter_hook=hook)
+    err = exc.value
+    k = int(str(err).rsplit(" ", 1)[1])
+    assert 1 < k <= cfg.iterations and max(seen) == k - 1
+    assert [r.k for r in err.trace.records] == [0]
+    w_good, thetas_good = seen[k - 1]
+    assert np.array_equal(err.w_state.w, w_good)
+    for model, theta in zip(err.models, thetas_good):
+        assert np.array_equal(model.theta, theta)
+        assert np.isfinite(model.theta).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_diverging_trace_row_aborts_and_ends_the_trace_at_the_last_finite_row():
+    # the fit above with a row after every iteration: the row of the
+    # iteration whose heads overflow is not appended, and the abort hands
+    # back W and the heads of the row before it
     ds, _ = gen_dataset("supervision", 1, n_trials=40, channels=3,
                         samples=128, n_targets=2, fm_cfg=FM16)
     cfg = SolverConfig(iterations=60, eta_p=0.1, lam=0.0, batch_trials=16,
@@ -806,13 +837,14 @@ def test_diverging_head_aborts_with_last_good_state():
         fit_stochastic(ds, cfg, _iter_hook=hook)
     err = exc.value
     k = int(str(err).rsplit(" ", 1)[1])
-    assert 1 < k <= cfg.iterations and max(seen) == k - 1
-    assert err.trace.records[-1].k == k - 1
+    assert 1 < k <= cfg.iterations and max(seen) == k
+    assert [r.k for r in err.trace.records] == list(range(k))
+    assert all(np.isfinite(r.loss_sup) and np.isfinite(r.f_value)
+               for r in err.trace.records)
     w_good, thetas_good = seen[k - 1]
     assert np.array_equal(err.w_state.w, w_good)
     for model, theta in zip(err.models, thetas_good):
         assert np.array_equal(model.theta, theta)
-        assert np.isfinite(model.theta).all()
 
 
 # --- CSV serialization ---

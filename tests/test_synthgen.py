@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mtsica.prng import Xoshiro256pp
+from mtsica.prng import Xoshiro256pp, derive_stream_seed
 from mtsica.supervision import FeatureMapConfig, feature_map_batch
-from mtsica.synthgen import (RECIPES, gen_dataset, gen_gaussian_mixing,
-                             gen_hilbert_mixing, gen_laplace_sources,
-                             gen_regression_targets)
+from mtsica.synthgen import (RECIPES, TAG_SOURCES, gen_dataset,
+                             gen_gaussian_mixing, gen_hilbert_mixing,
+                             gen_laplace_sources, gen_regression_targets)
 
 FM8 = FeatureMapConfig(window=8, hop=4)
 
@@ -153,22 +153,51 @@ def test_gen_dataset_deterministic_and_prefix_stable():
                          samples=20)
     assert np.array_equal(m8, m1)               # mixing ignores trial count
     assert np.array_equal(d8.signals[:4], d1.signals)
+    # supervision labels of a prefix agree only to rounding: the blocked
+    # DFT of the features and the label gemv change with the trial count
+    full, mix = gen_dataset("supervision", 11, n_trials=500, channels=6,
+                            samples=256, n_targets=2)
+    for n in (7, 499):
+        part, mix_n = gen_dataset("supervision", 11, n_trials=n, channels=6,
+                                  samples=256, n_targets=2)
+        assert np.array_equal(mix_n, mix)
+        assert part.signals.tobytes() == full.signals[:n].tobytes()
+        scale = np.abs(full.labels).max(axis=0)
+        assert np.all(np.abs(part.labels - full.labels[:n])
+                      <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("shape", [(40, 6, 500), (4, 13, 1001), (3, 700, 7)])
+def test_gen_dataset_signals_are_one_einsum_of_the_sources(shape):
+    # the in-place mix works by blocks of whole trials or, for a trial
+    # past the block size, of time chunks; either gives the bytes of one
+    # einsum over every trial
+    n, c, t = shape
+    ds, mixing = gen_dataset("multi_trial", 5, n_trials=n, channels=c,
+                             samples=t)
+    src = gen_laplace_sources(n, c, t, derive_stream_seed(5, TAG_SOURCES))
+    want = np.einsum("cd,ndt->nct", mixing, src)
+    assert ds.signals.tobytes() == want.tobytes()
 
 
 def test_gen_dataset_keeps_one_copy_of_the_signals():
-    # the sources and the signals coexist once; the dataset keeps the
-    # signals it is given instead of copying them.  Many short trials and
-    # few long ones pin the source draw's chunk temporaries at both ends.
-    for n_trials, channels, samples in [(40, 6, 500), (4, 13, 1001)]:
+    # the labels read the sources, then the mix overwrites them one block
+    # at a time and the dataset keeps that buffer uncopied.  Many short
+    # trials and few long ones pin the source draw's chunk temporaries at
+    # both ends; a supervision draw adds one target's feature transform.
+    for recipe, shape, bound in [("multi_trial", (40, 6, 500), 1.3),
+                                 ("multi_trial", (4, 13, 1001), 1.3),
+                                 ("supervision", (500, 6, 256), 1.9)]:
+        n_trials, channels, samples = shape
         tracemalloc.start()
         try:
-            ds, _ = gen_dataset("multi_trial", 3, n_trials=n_trials,
+            ds, _ = gen_dataset(recipe, 3, n_trials=n_trials,
                                 channels=channels, samples=samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not ds.signals.flags.writeable
-        assert peak <= 2.1 * ds.signals.nbytes
+        assert peak <= bound * ds.signals.nbytes, (recipe, shape)
 
 
 def test_gen_dataset_feature_config_reaches_labels():

@@ -401,6 +401,16 @@ def test_row_update_rejects_singular_surrogate():
         row_update(st, a_c, np.zeros((2, 2)), 0, np.inf, 0.0)
 
 
+def test_row_update_rejects_indefinite_surrogate():
+    # K = W A_c W^T = -I is nonsingular, so the solve alone would succeed
+    # and the failure would surface later as a K^-1 diagonal that is not
+    # positive; the Cholesky check names the cause
+    st = UnmixingState.from_matrix(np.eye(3))
+    with pytest.raises(FactorizationError,
+                       match="^row 1: K not positive definite$"):
+        row_update(st, -np.eye(3), np.zeros((3, 3)), 1, np.inf, 0.0)
+
+
 def test_row_update_rejects_nonpositive_eta():
     st = UnmixingState.from_matrix(np.eye(2))
     with pytest.raises(ValueError):
