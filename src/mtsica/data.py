@@ -30,6 +30,10 @@ _FORMAT_TAG = "mtsica-dataset-v1"
 _PAYLOAD_DTYPE = "f64le"
 _LAYOUT = "trial-major row-major CxT"
 
+# Dataset checks the signals this many entries at a time, so the check's
+# boolean temporary stays 64 KB whatever the dataset's size
+_FINITE_CHUNK = 1 << 16
+
 KIND_CONTINUOUS = "continuous"
 KIND_CATEGORICAL = "categorical"
 
@@ -124,7 +128,9 @@ class Dataset:
         n, c, t = sig.shape
         if min(n, c, t) < 1:
             raise ValueError(f"empty dataset dimensions {sig.shape}")
-        if not np.all(np.isfinite(sig)):
+        flat = sig.reshape(-1)
+        if not all(np.isfinite(flat[lo:lo + _FINITE_CHUNK]).all()
+                   for lo in range(0, flat.size, _FINITE_CHUNK)):
             raise ValueError("signals contain non-finite values")
         targets = tuple(self.targets)
         names = [s.name for s in targets]

@@ -1,14 +1,9 @@
-"""Spectral norms by library routines (LAPACK for dense matrices, ARPACK's
-Lanczos for symmetric operators given only as a matvec), and the matrix
-product that the fit loop runs on the calling thread."""
+"""Spectral norms by dense LAPACK, and the matrix product that the fit
+loop runs on the calling thread."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .prng import Xoshiro256pp
-
-_START_SEED = 0x5EED
 
 # Largest m*n*k of one gemm that OpenBLAS runs on the calling thread; a
 # larger one wakes its worker pool.  At the fit loop's shapes the pool
@@ -57,26 +52,6 @@ def _blocks(size, step):
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         yield (hi - 2 if hi - lo == 1 and lo > 0 else lo), hi
-
-
-def operator_norm(matvec, dim: int) -> float:
-    """2-norm (largest |eigenvalue|) of a symmetric linear operator.
-
-    One ARPACK Lanczos run (``eigsh``, ``which="LM"``) from a fixed
-    pseudo-random start vector, so reruns give the same bits.  Returns 0.0
-    when the operator maps that vector to zero, as the zero operator (a
-    head with theta = 0) does; ARPACK rejects that case.  Raises
-    ``ArpackNoConvergence`` rather than return a value short of the norm.
-    """
-    # imported here: at module level it adds ~50 ms to ``import mtsica``
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    v0 = Xoshiro256pp(_START_SEED).normals(dim)
-    if not np.any(matvec(v0)):
-        return 0.0
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
-    return float(abs(eigsh(op, k=1, which="LM", v0=v0,
-                           return_eigenvectors=False)[0]))
 
 
 def spectral_norm(mat: np.ndarray) -> float:

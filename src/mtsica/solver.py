@@ -140,7 +140,10 @@ class RateGuards:
     ``eta_u_max = 1 / (2 * lam * L_W)`` with
     ``L_W = avg_i |z_i|_2^2 * sqrt(sum_m L_m^2)``, and
     ``eta_p_max = 1 / (L_theta + mu)``.  Infinite when the corresponding
-    coupling is absent (lam = 0 / no targets).
+    coupling is absent (lam = 0 / no targets).  Each L_m is a bound over
+    the guard ball for a continuous head on raw powers and a sampled
+    estimate for the other heads, so ``eta_u_max`` is a ceiling only as
+    far as its L_m are bounds.
     """
 
     source_lipschitz: tuple
@@ -153,11 +156,12 @@ class RateGuards:
 
 def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
                         fm_cfg: FeatureMapConfig) -> RateGuards:
-    """Estimate smoothness constants and the step-size ceilings they imply.
+    """Smoothness constants and the step-size ceilings they imply.
 
-    Signal spectral norms are exact (LAPACK).  Per-target constants are
-    heuristic operating-region bounds (see
-    :func:`mtsica.supervision.source_lipschitz`): the ball radius is
+    Signal spectral norms and L_theta are computed by dense LAPACK.  Each
+    per-target L_m holds over a ball (see
+    :func:`mtsica.supervision.source_lipschitz`): a bound for continuous
+    heads on raw powers, a sampled estimate otherwise.  The ball radius is
     ``_GUARD_RADIUS_FACTOR`` times the largest trial spectral norm, since a
     candidate source row W_m z_i is norm-bounded by |W_m| |z_i|_2.
     """

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .data import KIND_CATEGORICAL, KIND_CONTINUOUS, TargetSchema
-from .linalg import operator_norm, serial_matmul
+from .linalg import serial_matmul, spectral_norm
 from .prng import Xoshiro256pp
 
 
@@ -308,25 +308,26 @@ _PARAM_SAFETY = 4.0
 def source_lipschitz(model: SupervisedTargetModel, cfg: FeatureMapConfig,
                      n_samples: int, radius: float,
                      label_bound: float) -> float:
-    """Bound on the Lipschitz constant of s -> grad_s loss over a ball.
+    """Lipschitz constant of s -> grad_s loss over a ball of ``radius``:
+    a bound for continuous heads on raw powers, an estimate otherwise.
 
     For continuous targets without log compression the loss is a quartic
-    whose Hessian norm admits the closed bound
-    ``6*|M|^2*R^2 + 2*|M|*y_max`` with M the symmetric matrix satisfying
-    <theta, phi(s)> = s^T M s; |M| is found to machine precision by one
-    Lanczos run (:func:`mtsica.linalg.operator_norm`) using the analytic
-    adjoint as the matvec.  Otherwise the constant is estimated from
-    sampled gradient difference quotients inside the ball, times a safety
-    factor of 2.  Either way the value is a heuristic *operating
-    region* bound: the features are quadratic, so no global constant
-    exists.
+    whose Hessian norm is bounded by ``6*|M|^2*R^2 + 2*|M|*y_max`` over
+    the ball, with M the symmetric (T, T) matrix satisfying
+    <theta, phi(s)> = s^T M s.  Row t of M is half the gradient of
+    <theta, phi> at the unit vector e_t, so M is the forward and the
+    analytic adjoint applied to the identity, and |M| is its 2-norm by
+    dense LAPACK (:func:`mtsica.linalg.spectral_norm`).  Otherwise the
+    value is an estimate, not a bound: the largest gradient difference
+    quotient of ``_LIPSCHITZ_PAIRS`` pairs sampled inside the ball, times
+    a safety factor of 2, which other pairs can exceed several-fold for
+    log-power and categorical heads.  Neither holds outside the ball: the
+    features are quadratic, so no global constant exists.
     """
     if model.kind == KIND_CONTINUOUS and not cfg.log_power:
-        def matvec(v):
-            _, ctx = _forward(v[None, :], cfg)
-            return _adjoint_from_ctx(
-                ctx, model.theta[None, :], n_samples, cfg)[0] * 0.5
-        norm_m = operator_norm(matvec, n_samples)
+        _, ctx = _forward(np.eye(n_samples), cfg)
+        norm_m = spectral_norm(0.5 * _adjoint_from_ctx(
+            ctx, np.tile(model.theta, (n_samples, 1)), n_samples, cfg))
         return 6.0 * norm_m ** 2 * radius ** 2 + 2.0 * norm_m * label_bound
 
     rng = Xoshiro256pp(_LIPSCHITZ_SEED)
@@ -353,12 +354,13 @@ def param_lipschitz(model: SupervisedTargetModel, sources: np.ndarray,
 
     The per-sample Hessian in theta is phi phi^T (continuous) or bounded
     by (1/2) phi phi^T per class block (categorical), so the constant is
-    the top eigenvalue of the empirical feature second moment, scaled by
-    ``_PARAM_SAFETY`` to absorb drift of the sources during fitting.
+    the top eigenvalue of the empirical feature second moment, that is
+    sigma_max(phi)^2 / n by dense LAPACK, scaled by ``_PARAM_SAFETY`` to
+    absorb drift of the sources during fitting.
     """
     phi = feature_map_batch(sources, cfg)
     n = phi.shape[0]
-    lam = operator_norm(lambda v: phi.T @ (phi @ v) / n, phi.shape[1])
+    lam = spectral_norm(phi) ** 2 / n
     if model.kind == KIND_CATEGORICAL:
         lam *= 0.5
     return _PARAM_SAFETY * lam

@@ -70,6 +70,25 @@ def test_dataset_shape_and_finite_validation():
         Dataset(bad, np.zeros((2, 0)), ())
 
 
+def test_dataset_checks_the_signals_without_a_dataset_size_temporary():
+    # read-only signals are kept uncopied, so what the check allocates is
+    # the whole peak; a non-finite last entry is still found
+    sig = np.zeros((20, 10, 8000))
+    sig.flags.writeable = False
+    tracemalloc.start()
+    try:
+        ds = Dataset(sig, np.zeros((20, 0)), ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.signals is sig
+    assert peak < 0.01 * sig.nbytes
+    bad = np.zeros((20, 10, 8000))
+    bad[-1, -1, -1] = np.inf
+    with pytest.raises(ValueError, match="signals contain non-finite"):
+        Dataset(bad, np.zeros((20, 0)), ())
+
+
 def test_dataset_rejects_more_targets_than_channels():
     targets = tuple(TargetSchema(f"y{j}", "continuous") for j in range(4))
     with pytest.raises(ValueError):

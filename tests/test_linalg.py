@@ -5,38 +5,7 @@ import numpy as np
 import pytest
 
 from mtsica import linalg
-from mtsica.linalg import operator_norm, serial_matmul, spectral_norm
-
-
-def symmetric_cases(dim, rng):
-    g = rng.normal(size=(dim, dim))
-    u = rng.normal(size=dim)
-    return {
-        # eigenvalues of equal magnitude and opposite sign
-        "indefinite": np.diag([1.0, -1.0] + [0.5] * (dim - 2)),
-        "psd": g @ g.T,
-        "rank1": np.outer(u, u),
-        "zero": np.zeros((dim, dim)),
-    }
-
-
-@pytest.mark.parametrize("dim", [2, 3, 50])
-def test_operator_norm_matches_dense_eigenvalues(dim):
-    rng = np.random.default_rng(dim)
-    for name, a in symmetric_cases(dim, rng).items():
-        got = operator_norm(lambda v: a @ v, dim)
-        want = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-        if name == "zero":
-            assert got == 0.0
-        else:
-            assert got == pytest.approx(want, rel=1e-12), name
-
-
-def test_operator_norm_is_deterministic():
-    a = np.random.default_rng(1).normal(size=(30, 30))
-    a = a + a.T
-    assert operator_norm(lambda v: a @ v, 30) == \
-        operator_norm(lambda v: a @ v, 30)
+from mtsica.linalg import serial_matmul, spectral_norm
 
 
 def test_spectral_norm_matches_svd():

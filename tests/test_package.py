@@ -1,5 +1,5 @@
-"""Package layout: one import path per name, scipy only where used, and
-no unused import."""
+"""Package layout: one import path per name, no runtime use of scipy
+(the tests use it only as an oracle), and no unused import."""
 
 import ast
 import os
@@ -24,8 +24,10 @@ def test_package_namespace_holds_only_the_version():
 
 
 def test_light_modules_import_without_scipy(tmp_path):
-    # only linalg.operator_norm loads scipy (its Lanczos call), so neither
-    # an import nor a gen, fit, eval and baseline session loads it
+    # scipy is no runtime dependency: neither an import nor a gen, fit,
+    # eval and baseline session loads it, and with scipy blocked the rate
+    # guards (a continuous raw-power head and a log-power head) and demo 04
+    # still run
     code = """
 import sys
 import mtsica.cli, mtsica.data, mtsica.metrics, mtsica.prng, mtsica.solver
@@ -51,6 +53,30 @@ print(scipy_modules())
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[0] == "[]"
     assert out.splitlines()[-1] == "[]"
+
+    blocked = """
+import runpy, sys
+sys.modules['scipy'] = None
+import numpy as np
+from mtsica.solver import compute_rate_guards
+from mtsica.supervision import FeatureMapConfig, SupervisedTargetModel
+from mtsica.synthgen import gen_dataset
+
+for log_power in (False, True):
+    fm = FeatureMapConfig(window=8, hop=4, log_power=log_power)
+    ds, _ = gen_dataset('supervision', 0, n_trials=4, channels=3,
+                        samples=32, n_targets=1, kappa=1.0, fm_cfg=fm)
+    assert ds.targets[0].kind == 'continuous'
+    model = SupervisedTargetModel(ds.targets[0], np.ones(fm.dim(32)))
+    g = compute_rate_guards(ds, [model], lam=1e-3, mu=0.0, fm_cfg=fm)
+    assert 0.0 < g.eta_u_max < np.inf and 0.0 < g.eta_p_max < np.inf
+runpy.run_path(sys.argv[1], run_name='__main__')
+"""
+    demo = Path(mtsica.__file__).parents[2] / "demos" / "04_descent_trace.py"
+    out = subprocess.run([sys.executable, "-c", blocked, str(demo)], env=ENV,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         check=True).stdout
+    assert "monotone: True" in out
 
 
 def test_modules_use_every_name_they_import():

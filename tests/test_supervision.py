@@ -3,12 +3,13 @@ and the numeric smoothness constants."""
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from mtsica.data import TargetSchema
 from mtsica.prng import Xoshiro256pp
-from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
-                                _adjoint_from_ctx, _forward,
-                                batch_loss_grads, feature_map_batch,
+from mtsica.supervision import (_PARAM_SAFETY, FeatureMapConfig,
+                                SupervisedTargetModel, _adjoint_from_ctx,
+                                _forward, batch_loss_grads, feature_map_batch,
                                 init_model, make_optimizer, optimizer_step,
                                 param_lipschitz, predict_batch,
                                 source_lipschitz, theta_shape)
@@ -377,6 +378,51 @@ def test_source_lipschitz_closed_form_uses_exact_norm_of_m():
     want = 6.0 * norm_m ** 2 * radius ** 2 + 2.0 * norm_m * y_bound
     got = source_lipschitz(model, cfg, t_len, radius, y_bound)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def top_eigenvalue(op, dim):
+    # ARPACK's Lanczos from a fixed start, the oracle for the dense norms
+    v0 = np.random.default_rng(dim).normal(size=dim)
+    op = LinearOperator((dim, dim), matvec=op, dtype=np.float64)
+    return float(abs(eigsh(op, k=1, which="LM", v0=v0,
+                           return_eigenvectors=False)[0]))
+
+
+@pytest.mark.parametrize("t_len", [16, 128, 256])
+def test_source_lipschitz_closed_form_matches_lanczos(t_len):
+    # |M| as the operator s -> M s, one forward and adjoint per vector
+    cfg = FeatureMapConfig(window=8, hop=4)
+    radius, y_bound = 6.0, 3.0
+    theta = np.random.default_rng(t_len).normal(size=cfg.dim(t_len))
+
+    def matvec(v):
+        _, ctx = _forward(v[None, :], cfg)
+        return 0.5 * _adjoint_from_ctx(ctx, theta[None, :], t_len, cfg)[0]
+    norm_m = top_eigenvalue(matvec, t_len)
+    want = 6.0 * norm_m ** 2 * radius ** 2 + 2.0 * norm_m * y_bound
+    got = source_lipschitz(SupervisedTargetModel(CONT, theta), cfg, t_len,
+                           radius, y_bound)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_source_lipschitz_of_a_zero_head_is_zero():
+    cfg = FeatureMapConfig(window=8, hop=4)
+    model = SupervisedTargetModel(CONT, np.zeros(cfg.dim(16)))
+    assert source_lipschitz(model, cfg, 16, 6.0, 3.0) == 0.0
+
+
+@pytest.mark.parametrize("t_len", [16, 128, 256])
+def test_param_lipschitz_matches_lanczos(t_len):
+    # top eigenvalue of phi^T phi / n, halved per class block
+    cfg = FeatureMapConfig(window=8, hop=4)
+    sources = np.random.default_rng(t_len).normal(size=(40, t_len))
+    phi = feature_map_batch(sources, cfg)
+    lam = top_eigenvalue(lambda v: phi.T @ (phi @ v) / 40, phi.shape[1])
+    for schema, shape, want in [(CONT, (phi.shape[1],), lam),
+                                (CAT3, (3, phi.shape[1]), 0.5 * lam)]:
+        model = SupervisedTargetModel(schema, np.ones(shape))
+        assert param_lipschitz(model, sources, cfg) == \
+            pytest.approx(_PARAM_SAFETY * want, rel=1e-12)
 
 
 def test_param_lipschitz_bounds_theta_gradient_quotients():
