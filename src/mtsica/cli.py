@@ -250,7 +250,8 @@ def _load_run_inputs(args):
         candidate = Path(args.data) / "mixing.f64"
         if candidate.is_file():
             gt_path = candidate
-    ground_truth = None if gt_path is None else _read_matrix_checked(gt_path)
+    ground_truth = (None if gt_path is None
+                    else _read_mixing(gt_path, dataset.channels))
     return dataset, config, extras, ground_truth
 
 

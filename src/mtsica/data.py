@@ -92,10 +92,10 @@ class TargetSchema:
             raise DatasetFormatError(f"bad target entry {d!r}: {e}") from e
 
 
-def _own_readonly(x, dtype=np.float64) -> np.ndarray:
+def _own_readonly(x) -> np.ndarray:
     # Private read-only float64 C-order array; copies only when the input
     # would otherwise stay writeable through the caller.
-    arr = np.ascontiguousarray(x, dtype=dtype)
+    arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr is x and arr.flags.writeable:
         arr = arr.copy()
     arr.flags.writeable = False
@@ -202,8 +202,7 @@ def preprocess(dataset: Dataset, center: bool = False,
     if center:
         sig -= sig.mean(axis=(0, 2))[None, :, None]
     if rescale:
-        sq = [spectral_norm(sig[i]) ** 2 for i in range(sig.shape[0])]
-        scale = float(np.sqrt(np.mean(sq)))
+        scale = float(np.sqrt(np.mean(spectral_norm(sig) ** 2)))
         if scale <= 0.0:
             raise ValueError("cannot rescale all-zero signals")
         sig /= scale

@@ -54,9 +54,11 @@ def _blocks(size, step):
         yield (hi - 2 if hi - lo == 1 and lo > 0 else lo), hi
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    """Matrix 2-norm (largest singular value)."""
+def spectral_norm(mat: np.ndarray):
+    """Matrix 2-norm (largest singular value) by dense LAPACK: a float for
+    one matrix, an array of the norms for a stack ``(..., m, n)``."""
     a = np.asarray(mat, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("spectral_norm expects a matrix")
-    return float(np.linalg.norm(a, 2))
+    if a.ndim < 2:
+        raise ValueError("spectral_norm expects a matrix or a stack of them")
+    norms = np.linalg.norm(a, 2, axis=(-2, -1))
+    return float(norms) if a.ndim == 2 else norms

@@ -38,7 +38,8 @@ def amari_distance(w: np.ndarray, mixing: np.ndarray) -> float:
     mixing = np.asarray(mixing, dtype=np.float64)
     if w.shape != mixing.shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("amari_distance needs two square matrices of equal size")
-    r = np.abs(w @ mixing)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        r = np.abs(w @ mixing)
     if not np.all(np.isfinite(r)):
         raise ValueError("non-finite entries in W @ A")
     row_max = r.max(axis=1)

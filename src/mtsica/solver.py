@@ -146,19 +146,16 @@ class RateGuards:
     far as its L_m are bounds.
     """
 
-    source_lipschitz: tuple
-    param_lipschitz: float
-    w_lipschitz: float
-    avg_sq_signal_norm: float
     eta_u_max: float
     eta_p_max: float
 
 
 def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
                         fm_cfg: FeatureMapConfig) -> RateGuards:
-    """Smoothness constants and the step-size ceilings they imply.
+    """Step-size ceilings of ``models`` on ``dataset``.
 
-    Signal spectral norms and L_theta are computed by dense LAPACK.  Each
+    The trial spectral norms |z_i|_2 come from one dense LAPACK call over
+    the stack of trials, and L_theta by dense LAPACK too.  Each
     per-target L_m holds over a ball (see
     :func:`mtsica.supervision.source_lipschitz`): a bound for continuous
     heads on raw powers, a sampled estimate otherwise.  The ball radius is
@@ -166,7 +163,7 @@ def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
     candidate source row W_m z_i is norm-bounded by |W_m| |z_i|_2.
     """
     z = dataset.signals
-    norms = np.array([spectral_norm(z[i]) for i in range(z.shape[0])])
+    norms = spectral_norm(z)
     avg_sq = float(np.mean(norms ** 2))
     radius = _GUARD_RADIUS_FACTOR * float(norms.max())
 
@@ -185,7 +182,7 @@ def compute_rate_guards(dataset: Dataset, models, lam: float, mu: float,
                    for m, model in enumerate(models)), default=0.0)
     denom = l_theta + mu
     eta_p_max = 1.0 / denom if denom > 0.0 else float("inf")
-    return RateGuards(tuple(lms), l_theta, w_lip, avg_sq, eta_u_max, eta_p_max)
+    return RateGuards(eta_u_max, eta_p_max)
 
 
 @dataclass
@@ -396,7 +393,7 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
                 with np.errstate(over="ignore", invalid="ignore"):
                     head_losses[m, lo:hi] = batch_loss_grads(
                         model, x[m], labels[lo:hi, m], fm_cfg,
-                        need_grad_s=False, need_grad_theta=False)[0]
+                        need_grad_s=False)[0]
             del x  # one block of sources alive at a time
         loss_sup = 0.0
         for m, losses in enumerate(head_losses):
@@ -452,8 +449,8 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
                 model.theta = optimizer_step(opt, model.theta, grad,
                                              config.mu)
                 if coupled:
-                    _, grad_phi, _ = head_loss_grads(
-                        model, phi, labels_k[:, m], need_grad_theta=False)
+                    grad_phi = head_loss_grads(model, phi,
+                                               labels_k[:, m])[1]
                     grad_s.append(supervision._adjoint_from_ctx(
                         ctx, grad_phi, samples, fm_cfg))
             del heads

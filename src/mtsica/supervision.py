@@ -186,19 +186,19 @@ def init_model(schema: TargetSchema, dim: int, rng: Xoshiro256pp,
 
 
 def head_loss_grads(model: SupervisedTargetModel, phi: np.ndarray,
-                    labels: np.ndarray, need_grad_phi: bool = True,
-                    need_grad_theta: bool = True):
+                    labels: np.ndarray, need_grad_phi: bool = True):
     """Head half of :func:`batch_loss_grads`, at features ``phi`` (B, dim).
 
-    Returns the losses, the per-trial gradient in ``phi`` and the gradient
-    of the mean loss in theta.  Keeping one :func:`_forward` result lets a
-    caller step theta and then take the source gradient at the new theta.
+    Returns the losses, the per-trial gradient in ``phi`` (or ``None``)
+    and the gradient of the mean loss in theta.  Keeping one
+    :func:`_forward` result lets a caller step theta and then take the
+    source gradient at the new theta.
     """
     b = phi.shape[0]
     if model.kind == KIND_CONTINUOUS:
         resid = phi @ model.theta - labels
         losses = 0.5 * resid * resid
-        grad_theta = (phi.T @ resid) / b if need_grad_theta else None
+        grad_theta = (phi.T @ resid) / b
         grad_phi = (resid[:, None] * model.theta[None, :]
                     if need_grad_phi else None)
     else:
@@ -209,15 +209,14 @@ def head_loss_grads(model: SupervisedTargetModel, phi: np.ndarray,
         losses = lse - logits[np.arange(b), idx]
         p = np.exp(logits - lse[:, None])
         p[np.arange(b), idx] -= 1.0
-        grad_theta = (serial_matmul(p.T, phi) / b
-                      if need_grad_theta else None)
+        grad_theta = serial_matmul(p.T, phi) / b
         grad_phi = serial_matmul(p, model.theta) if need_grad_phi else None
     return losses, grad_phi, grad_theta
 
 
 def batch_loss_grads(model: SupervisedTargetModel, batch: np.ndarray,
                      labels: np.ndarray, cfg: FeatureMapConfig,
-                     need_grad_s: bool = True, need_grad_theta: bool = True):
+                     need_grad_s: bool = True):
     """Losses and gradients for a batch of source signals.
 
     Parameters
@@ -231,14 +230,15 @@ def batch_loss_grads(model: SupervisedTargetModel, batch: np.ndarray,
     -------
     losses : ndarray, shape (B,)
     grad_s : ndarray, shape (B, T) or None
-        Per-trial loss gradient in the signal.
-    grad_theta : ndarray or None
+        Per-trial loss gradient in the signal; ``None``, and no adjoint
+        run, when ``need_grad_s`` is false.
+    grad_theta : ndarray
         Gradient of the *mean* batch loss in theta.
     """
     batch = np.atleast_2d(batch)
     phi, ctx = _forward(batch, cfg)
-    losses, grad_phi, grad_theta = head_loss_grads(
-        model, phi, labels, need_grad_s, need_grad_theta)
+    losses, grad_phi, grad_theta = head_loss_grads(model, phi, labels,
+                                                   need_grad_s)
     grad_s = (_adjoint_from_ctx(ctx, grad_phi, batch.shape[1], cfg)
               if need_grad_s else None)
     return losses, grad_s, grad_theta
@@ -340,8 +340,7 @@ def source_lipschitz(model: SupervisedTargetModel, cfg: FeatureMapConfig,
             s *= radius * rng.random() / max(np.linalg.norm(s), 1e-12)
             points.append(s)
             grads.append(batch_loss_grads(model, s[None, :],
-                                          np.array([label]), cfg,
-                                          need_grad_theta=False)[1][0])
+                                          np.array([label]), cfg)[1][0])
         gap = np.linalg.norm(points[0] - points[1])
         if gap > 1e-9:
             best = max(best, float(np.linalg.norm(grads[0] - grads[1]) / gap))

@@ -325,8 +325,7 @@ def test_7_minibatch_estimators_are_unbiased():
     def coupling(tr, tm):
         sub = z[tr]
         src = np.einsum("c,nct->nt", w[0], sub)
-        _, grad_s, _ = batch_loss_grads(model, src, labels[tr, 0], fm,
-                                        need_grad_theta=False)
+        _, grad_s, _ = batch_loss_grads(model, src, labels[tr, 0], fm)
         return compute_B([grad_s], sub[:, :, tm].transpose(1, 0, 2), tm)
 
     want = coupling(full_tr, full_tm)

@@ -350,6 +350,11 @@ def test_fit_rejects_malformed_configs(tmp_path, capsys):
                     write_cfg(tmp_path / name, [line]),
                     "--out", tmp_path / name / "o"]) == 2, line
         assert why in capsys.readouterr().err
+    missing = tmp_path / "missing.cfg"
+    assert run(["fit", "--data", d, "--config", missing,
+                "--out", tmp_path / "o4"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read config file {missing}: ")
     sup = tmp_path / "sup"
     gen_sup(sup)
     for i, (data, lines, flags) in enumerate([
@@ -568,21 +573,33 @@ def gen_three_channels(path):
 
 
 def test_fit_rejects_a_nonfinite_or_singular_ground_truth(tmp_path, capsys):
-    # the Amari distance needs a finite, nonsingular mixing
+    # the Amari distance needs a finite, nonsingular mixing; fit names the
+    # file as eval --w and baseline do, before any run directory is made
     d = tmp_path / "ds"
     gen_three_channels(d)
     for name, mixing, why in [
-            ("zero", np.zeros((3, 3)), "singular (rank 0 of 3)"),
-            ("nan", np.full((3, 3), np.nan), "non-finite"),
+            ("zero", np.zeros((3, 3)),
+             "ground-truth mixing is singular (rank 0 of 3)"),
+            ("nan", np.full((3, 3), np.nan),
+             "ground-truth mixing has non-finite entries"),
             ("rank1", np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
-             "singular (rank 1 of 3)")]:
-        write_matrix_f64(tmp_path / f"{name}.f64", mixing)
+             "ground-truth mixing is singular (rank 1 of 3)"),
+            ("small", np.eye(2), "ground-truth mixing shape mismatch")]:
+        path = tmp_path / f"{name}.f64"
+        write_matrix_f64(path, mixing)
         out = tmp_path / f"run_{name}"
-        assert run(["fit", "--data", d, "--ground-truth",
-                    tmp_path / f"{name}.f64", "--out", out]) == 2, name
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid configuration") and why in err
+        assert run(["fit", "--data", d, "--ground-truth", path,
+                    "--out", out]) == 2, name
+        assert capsys.readouterr().err == \
+            f"error: bad mixing file {path}: {why}\n"
         assert not out.exists()
+    # the default ground truth, <data>/mixing.f64, is checked the same way
+    write_matrix_f64(d / "mixing.f64", np.zeros((3, 3)))
+    assert run(["fit", "--data", d, "--out", tmp_path / "run_default"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad mixing file {d / 'mixing.f64'}: ground-truth mixing is "
+        f"singular (rank 0 of 3)\n")
+    assert not (tmp_path / "run_default").exists()
 
 
 def test_rescale_of_all_zero_signals_exits_2(tmp_path, capsys):
@@ -795,6 +812,12 @@ def test_eval_w_names_the_mixing_file_for_a_bad_mixing(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad mixing file {path}: {why}\n"
+    # a W that W @ A cannot score is named with the reason
+    inf_w = tmp_path / "inf_w.f64"
+    write_matrix_f64(inf_w, np.full((2, 2), np.inf))
+    assert run(["eval", "--w", inf_w, "--mixing", d / "mixing.f64"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {inf_w}: non-finite entries in W @ A\n"
 
 
 def test_an_empty_matrix_file_is_named_as_unreadable(tmp_path, capsys):

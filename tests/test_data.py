@@ -68,6 +68,11 @@ def test_dataset_shape_and_finite_validation():
     bad[1, 2, 3] = np.nan
     with pytest.raises(ValueError):
         Dataset(bad, np.zeros((2, 0)), ())
+    y = (TargetSchema("y", "continuous"),)
+    with pytest.raises(ValueError, match=r"labels must have shape \(2, 1\)"):
+        Dataset(sig, np.zeros((3, 1)), y)
+    with pytest.raises(ValueError, match="labels contain non-finite"):
+        Dataset(sig, np.array([[0.0], [np.inf]]), y)
 
 
 def test_dataset_checks_the_signals_without_a_dataset_size_temporary():
@@ -242,6 +247,23 @@ def test_load_rejects_missing_and_corrupt_pieces(tmp_path):
 
     (root / "manifest.json").write_text("{ not json")
     with pytest.raises(DatasetFormatError):
+        load_dataset(root)
+
+    save_dataset(ds, root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    without_n = {k: v for k, v in manifest.items() if k != "n_trials"}
+    for bad, why in [([manifest], "must be a JSON object"),
+                     (without_n, "missing key 'n_trials'"),
+                     ({**manifest, "layout": "time-major"},
+                      "unsupported layout"),
+                     ({**manifest, "samples": 0}, "invalid dimensions"),
+                     ({**manifest, "targets": {}}, "targets must be a list")]:
+        (root / "manifest.json").write_text(json.dumps(bad))
+        with pytest.raises(DatasetFormatError, match=why):
+            load_dataset(root)
+    save_dataset(ds, root)
+    (root / "labels.bin").unlink()
+    with pytest.raises(DatasetFormatError, match="cannot read payload"):
         load_dataset(root)
 
 

@@ -200,6 +200,8 @@ def test_aux_proximal_rejects_huber_and_bad_eta():
         aux_proximal(np.ones(3), np.ones(3), 1.0, density="huber")
     with pytest.raises(ValueError):
         aux_proximal(np.ones(3), np.ones(3), 0.0)
+    with pytest.raises(ValueError, match="u_prev shape must match"):
+        aux_proximal(np.ones(3), np.ones(4), 1.0)
 
 
 def test_aux_proximal_matches_brentq_on_extreme_entries():

@@ -15,7 +15,12 @@ def test_spectral_norm_matches_svd():
         want = np.linalg.svd(a, compute_uv=False)[0]
         assert spectral_norm(a) == pytest.approx(want, rel=1e-12)
     assert spectral_norm(np.zeros((2, 5))) == 0.0
-    for bad in [np.ones(4), np.ones((2, 2, 2))]:
+    # a stack gives each matrix's norm, to the bit of one call per matrix
+    stack = rng.normal(size=(7, 3, 64))
+    np.testing.assert_array_equal(spectral_norm(stack),
+                                  [spectral_norm(a) for a in stack])
+    assert spectral_norm(np.ones((2, 2, 2))) == pytest.approx([2.0, 2.0])
+    for bad in [np.ones(4), np.float64(1.0)]:
         with pytest.raises(ValueError, match="expects a matrix"):
             spectral_norm(bad)
 

@@ -357,8 +357,7 @@ def test_source_lipschitz_sampled_estimate_covers_fresh_pairs(seed):
         pair = rng.normal(size=(2, t_len))
         pair *= (radius * rng.uniform(size=2)
                  / np.linalg.norm(pair, axis=1))[:, None]
-        _, grads, _ = batch_loss_grads(model, pair, np.zeros(2), cfg,
-                                       need_grad_theta=False)
+        _, grads, _ = batch_loss_grads(model, pair, np.zeros(2), cfg)
         worst = max(worst, float(np.linalg.norm(grads[0] - grads[1])
                                  / np.linalg.norm(pair[0] - pair[1])))
     assert worst <= lip

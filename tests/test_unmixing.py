@@ -210,8 +210,7 @@ def coupling(w, models, cfg, z, labels, trials, times):
     gradient on the full time axis, contract with the time subset."""
     sub = z[trials]
     grad_s = [batch_loss_grads(model, np.einsum("c,nct->nt", w[m], sub),
-                               labels[trials, m], cfg,
-                               need_grad_theta=False)[1]
+                               labels[trials, m], cfg)[1]
               for m, model in enumerate(models)]
     return compute_B(grad_s, component_major(z, trials, times), times)
 
@@ -259,8 +258,7 @@ def test_b_is_gradient_of_mean_loss_in_w_row():
     def mean_loss(row):
         src = np.einsum("c,nct->nt", row, z)
         losses, _, _ = batch_loss_grads(model, src, labels[:, 0], cfg,
-                                        need_grad_s=False,
-                                        need_grad_theta=False)
+                                        need_grad_s=False)
         return float(np.mean(losses))
 
     h = 1e-6
