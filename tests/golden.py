@@ -9,10 +9,12 @@ record them again from the current code::
 A change that moves any of them says in CHANGES.md which values moved
 and by how much at most.
 
-The cases stay small and well conditioned (3 iterations, Hilbert mixing
-at kappa = 1), since a fit can amplify a last-bit difference many-fold
-per iteration, and numpy's SIMD ``log``/``exp`` and OpenBLAS's kernels
-may differ in the last bits from one CPU to another.
+The cases stay small and well conditioned (3 iterations; the
+supervision recipe at kappa = 1), since a fit can amplify a last-bit
+difference many-fold per iteration, and numpy's SIMD ``log``/``exp`` and
+OpenBLAS's kernels may differ in the last bits from one CPU to another:
+OpenBLAS's kernels for other x86 CPUs moved these values by up to 1e-13
+of their largest entry.
 """
 
 from __future__ import annotations
