@@ -43,15 +43,17 @@ def aux_exact(sources: np.ndarray, u_max: float = DEFAULT_U_MAX,
     """
     x = np.asarray(sources, dtype=np.float64)
     u = np.abs(x, out=np.empty_like(x) if out is None else out)
+    low = u.min(initial=np.inf)
     if sums is not None:
         abs_sum, clamped = u.sum(), 0.0
-        if u.min(initial=np.inf) < 1.0 / u_max:   # never at u_max = inf
+        if low < 1.0 / u_max:   # never at u_max = inf
             gap = np.maximum(1.0 / u_max - u, 0.0)
             clamped = u_max * np.square(gap, out=gap).sum()
         sums += (abs_sum, abs_sum + 0.5 * clamped)
     with np.errstate(divide="ignore"):
         np.divide(1.0, u, out=u)
-    return np.minimum(u, u_max, out=u)
+    # no weight to clamp when |x| >= 2/u_max: 1/|x| rounds to ~u_max/2
+    return u if low >= 2.0 / u_max else np.minimum(u, u_max, out=u)
 
 
 def aux_proximal(sources: np.ndarray, u_prev: np.ndarray, eta_a: float,

@@ -3,26 +3,27 @@
 One outer iteration is one straight pass over one gathered minibatch:
 
 1. draw the minibatch index sets and gather the batch trials once,
-   ``sub = z[trials]``; the batch signals are ``np.take(sub, times,
-   axis=2)`` transposed to one C-contiguous (C, n, tau) array, and every
-   head's sources come from one product ``W[:M] @ sub``.  A batch that
-   covers every trial and sample (``None`` means all) makes a full batch
-   fit, which draws nothing and makes the copy once, before iteration 1;
+   ``sub = z[trials]``; the batch signals are the trial-major (n, C, tau)
+   array ``np.take(sub, times, axis=2)``, and every head's sources come
+   from one product ``W[:M] @ sub``.  A batch that covers every trial and
+   sample (``None`` means all) makes a full batch fit, which draws
+   nothing and takes the dataset's signals as its batch, uncopied;
 2. step every supervised head theta with its first-order rule, using the
    gradient of the mean supervised loss at the current W (a head whose
    minibatch loss is not finite aborts the fit before any theta moves,
    and so does one whose loss in a trace row is not finite);
 3. make one blocked pass over the batch (:func:`make_a_provider`) that
-   computes each block's ``W z`` once, its auxiliary weights and its
-   share of every A_c.  The aux step, chosen before iteration 1, gives
-   the weights: the exact minimizer u = min(1/|W z|, u_max) at
-   ``eta_a = inf``, else a damped proximal step from the stored weights;
-4. form the supervision coupling matrix B at the current W and new theta;
+   copies each block of columns into a reused buffer and computes its
+   ``W z`` once, its auxiliary weights and its share of every A_c.  The
+   aux step, chosen before iteration 1, gives the weights: the exact
+   minimizer u = min(1/|W z|, u_max) at ``eta_a = inf``, else a damped
+   proximal step from the stored weights;
+4. form the supervision coupling matrix B at the current W and new theta,
+   summing per-trial products of the batch and the heads' gradients;
 5. sweep the rows of W cyclically, each row minimized in closed form.
 
 Steps 2 and 4 share one feature forward per head: the features depend on
-W and the trials only, not on theta.  Steps 3 to 5 work on ``batch`` as
-one (C, n*tau) matrix, and B is one matrix-vector product per head.
+W and the trials only, not on theta.
 Steps 2 and 3 touch disjoint variables, neither reads the other's
 output, and the draws happen before either, so swapping them would give
 bit-identical fits.
@@ -333,8 +334,7 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
     coupled = n_targets and config.lam > 0.0
     if not stochastic:  # the batch is the whole dataset, every iteration
         trials_k = times_k = slice(None)
-        sub = z
-        batch = np.ascontiguousarray(z.transpose(1, 0, 2))
+        sub = batch = z
     aux = aux_view = a_of = sums = None
     if exact:
         def step(x, start, stop):   # adds to ``sums`` when it is set
@@ -430,8 +430,7 @@ def fit_stochastic(dataset: Dataset, config: SolverConfig,
                 if not exact:    # the proximal step's columns
                     cols = (trials_k[:, None] * samples + times_k).ravel()
                 sub = z[trials_k]
-                batch = np.ascontiguousarray(     # (C, n, tau)
-                    np.take(sub, times_k, axis=2).transpose(1, 0, 2))
+                batch = np.take(sub, times_k, axis=2)     # (n, C, tau)
             labels_k = labels[trials_k]
             # the heads read every sample of the batch trials: (n, M, T)
             heads = serial_matmul(state.w[:n_targets], sub) if models else None

@@ -77,38 +77,38 @@ def make_a_provider(w: np.ndarray, batch: np.ndarray, step):
     """Every A_c of one gathered (mini)batch, in one pass; returns
     ``c -> A_c``.
 
-    ``batch`` is the component-major batch ``z[trials][:, :, times]``
-    transposed to (C, n, tau) (any trailing shape works; only the C-row
-    layout matters), and ``u_c[i, t]`` its auxiliary weights::
+    ``batch`` is the trial-major batch ``z[trials][:, :, times]``, shape
+    (n, C, tau), read in place as the (C, n*tau) columns ``batch[i, :, t]``
+    in (trial, time) order, and ``u_c[i, t]`` their auxiliary weights::
 
         A_c = (1/(n*tau)) * sum_{i in trials} sum_{t in times}
               u_c[i, t] * z_i[:, t] z_i[:, t]^T
 
-    The pass walks the (C, n*tau) columns in blocks of ``_A_BLOCK``.  Each
-    block gets x = W @ block once, in a reused buffer (a last block of one
-    column takes it from the gemm of two that ``_blocks`` folds), and
-    ``step(x, start, stop)`` turns it into the weights of columns
-    ``start:stop`` (it may overwrite x and return it).  Then, for each
-    row a, the block's products z_a z_b (b >= a) fill a second reused
-    buffer and add one matrix product with the weights into every
-    ``A_c[a, b]``, b >= a, so all C matrices cost one read of the batch
-    and no (n*tau) x C^2 array is ever built.  Every product stays on the
-    calling thread (:func:`serial_matmul`).  Each A_c is filled from its
-    upper triangle, then mirrored, and so is exactly symmetric.
+    The pass walks the columns in blocks of ``_A_BLOCK``.  Each block is
+    copied into a reused buffer (:func:`_columns`) and gets x = W @ block
+    once, in a second reused buffer (a last block of one column takes it
+    from the gemm of two that ``_blocks`` folds).  ``step(x, start,
+    stop)`` turns x into the weights of columns ``start:stop`` (it may
+    overwrite x and return it).  Then, for each row a, the block's
+    products z_a z_b (b >= a) fill a third reused buffer and add one
+    matrix product with the weights into every ``A_c[a, b]``, b >= a, so
+    all C matrices cost one read of the batch and no (n*tau) x C^2 array
+    is ever built.  Every product stays on the calling thread
+    (:func:`serial_matmul`).  Each A_c is filled from its upper triangle,
+    then mirrored, and so is exactly symmetric.
     """
-    flat = batch.reshape(len(w), -1)
-    c_dim, cols = flat.shape
+    c_dim, cols = len(w), batch.size // len(w)
     # acc[a, b, c] = n*tau * A_c[a, b] for b >= a: row a's products add
     # into one contiguous slice (a strided add into a_set[:, a, a:] took
     # ~2.5x as long, 5% of the pass at C = 10)
     acc = np.zeros((c_dim, c_dim, c_dim))
-    pairs = np.empty((c_dim, min(_A_BLOCK, cols)))
-    x_buf = np.empty_like(pairs)
+    z_buf, pairs, x_buf = (_aligned(c_dim, min(_A_BLOCK, cols))
+                           for _ in range(3))
     start = 0
     for lo, stop in _blocks(cols, _A_BLOCK):
-        x = serial_matmul(w, flat[:, lo:stop],
-                          out=x_buf[:, :stop - lo])[:, start - lo:]
-        block = flat[:, start:stop]
+        flat = _columns(batch, lo, stop, z_buf)
+        x = serial_matmul(w, flat, out=x_buf[:, :stop - lo])[:, start - lo:]
+        block = flat[:, start - lo:]
         u_t = step(x, start, stop).T
         for a in range(c_dim):
             prod = pairs[:c_dim - a, :block.shape[1]]
@@ -122,6 +122,26 @@ def make_a_provider(w: np.ndarray, batch: np.ndarray, step):
     return a_set.__getitem__
 
 
+def _aligned(rows, cols):
+    # 64-byte aligned: at malloc's 16 bytes the pass ran ~35% slower (Xeon)
+    raw = np.empty(rows * cols + 8)
+    return raw[-raw.ctypes.data % 64 // 8:][:rows * cols].reshape(rows, cols)
+
+
+def _columns(batch, lo, hi, out):
+    """Columns ``lo:hi`` of ``batch`` copied into ``out[:, :hi - lo]``: a
+    partial trial, the whole trials in one copy, a partial trial."""
+    tau, pos = batch.shape[2], lo
+    while pos < hi:
+        i, t = divmod(pos, tau)
+        width = min(tau - t, hi - pos)
+        k = 1 if t else max(1, (hi - pos) // tau)   # trials in this copy
+        out[:, pos - lo:pos - lo + k * width].reshape(-1, k, width)[...] = \
+            batch[i:i + k, :, t:t + width].transpose(1, 0, 2)
+        pos += k * width
+    return out[:, :hi - lo]
+
+
 def compute_B(grad_s, batch: np.ndarray, times) -> np.ndarray:
     """Supervised coupling matrix; row m drives the update of W row m.
 
@@ -133,20 +153,19 @@ def compute_B(grad_s, batch: np.ndarray, times) -> np.ndarray:
 
     ``grad_s[m]``, shape (n, T), is that source gradient for the batch
     trials on the *full* time axis (the feature windows couple all
-    samples); ``batch`` is the component-major batch
-    ``z[trials][:, :, times]`` transposed to (C, n, tau), and ``times``
-    indexes the time axis of ``grad_s[m]`` (an index array or a slice).
-    Each row is one matrix-vector product of the batch with the gathered
-    gradient.  The T/tau factor makes the estimator unbiased in the time
-    draw.  Rows beyond ``len(grad_s)`` are zero.  The supervision weight
-    lam is *not* folded in here; it enters in the row objective.
+    samples); ``batch`` is the trial-major batch ``z[trials][:, :, times]``,
+    (n, C, tau), and ``times`` indexes the time axis of ``grad_s[m]`` (an
+    index array or a slice).  Each row sums one matrix-vector product per
+    trial, far too small at minibatch sizes for OpenBLAS to thread.  The
+    T/tau factor makes the estimator unbiased in the time draw.  Rows
+    beyond ``len(grad_s)`` are zero.  The supervision weight lam is *not*
+    folded in here; it enters in the row objective.
     """
-    c, n, tau = batch.shape
-    flat = batch.reshape(c, n * tau)
+    n, c, tau = batch.shape
     b_mat = np.zeros((c, c))
     for m, grad in enumerate(grad_s):
-        b_mat[m] = (grad.shape[1] / tau) * (
-            flat @ grad[:, times].reshape(n * tau)) / n
+        per_trial = np.matmul(batch, grad[:, times][:, :, None])  # (n, C, 1)
+        b_mat[m] = (grad.shape[1] / tau) * per_trial.sum(axis=0)[:, 0] / n
     return b_mat
 
 

@@ -4,11 +4,15 @@ Each is the plain, per-row form of a quantity the solver computes in a
 faster layout, or an objective the solver never evaluates but whose
 descent the tests check.  ``weighted_moments`` is the exception: the
 solver's own A_c pass fed given weights, the bit reference of the
-reference loops.
+reference loops.  ``component_major_pass`` is the A_c pass on a
+component-major copy of the batch, the bit reference of the solver's
+pass over the trial-major batch.
 """
 
 import numpy as np
 
+from mtsica import unmixing
+from mtsica.linalg import _blocks, serial_matmul
 from mtsica.unmixing import make_a_provider
 
 
@@ -29,12 +33,43 @@ def compute_A_c(u_c, signals, trials, times):
 
 
 def weighted_moments(u_batch, batch):
-    """Every A_c of ``batch`` (C, ...) at the given weights, as one
-    (C, C, C) array: the solver's blocked pass fed ``u_batch``."""
-    u = u_batch.reshape(len(batch), -1)
-    a_of = make_a_provider(np.eye(len(batch)), batch,
+    """Every A_c of the trial-major ``batch`` (n, C, tau) at the weights
+    ``u_batch`` of the same shape, as one (C, C, C) array: the solver's
+    blocked pass fed ``u_batch``."""
+    c_dim = batch.shape[1]
+    u = u_batch.transpose(1, 0, 2).reshape(c_dim, -1)
+    a_of = make_a_provider(np.eye(c_dim), batch,
                            lambda x, start, stop: u[:, start:stop])
-    return np.array([a_of(c) for c in range(len(batch))])
+    return np.array([a_of(c) for c in range(c_dim)])
+
+
+def component_major_pass(w, batch, step):
+    """Every A_c of the trial-major ``batch`` (n, C, tau), as one (C, C, C)
+    array, by the A_c pass over a component-major (C, n*tau) copy of it:
+    x = W @ block, the block's weights and its pair products on blocks of
+    ``_A_BLOCK`` columns of that copy, in place."""
+    c_dim = batch.shape[1]
+    flat = np.ascontiguousarray(batch.transpose(1, 0, 2)).reshape(c_dim, -1)
+    cols = flat.shape[1]
+    acc = np.zeros((c_dim, c_dim, c_dim))
+    pairs = np.empty((c_dim, min(unmixing._A_BLOCK, cols)))
+    x_buf = np.empty_like(pairs)
+    start = 0
+    for lo, stop in _blocks(cols, unmixing._A_BLOCK):
+        x = serial_matmul(w, flat[:, lo:stop],
+                          out=x_buf[:, :stop - lo])[:, start - lo:]
+        block = flat[:, start:stop]
+        u_t = step(x, start, stop).T
+        for a in range(c_dim):
+            prod = pairs[:c_dim - a, :block.shape[1]]
+            np.multiply(block[a:], block[a], out=prod)
+            acc[a, a:] += serial_matmul(prod, u_t)
+        start = stop
+    a_set = np.ascontiguousarray(acc.transpose(2, 0, 1))
+    a_set /= cols
+    lower, upper = np.tril_indices(c_dim, -1)
+    a_set[:, lower, upper] = a_set[:, upper, lower]
+    return a_set
 
 
 def per_iteration_objective(w, w_anchor, a_of, b_mat, eta_u, lam):

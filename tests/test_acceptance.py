@@ -302,14 +302,13 @@ def test_7_minibatch_estimators_are_unbiased():
     tr_subsets = [np.array(p) for p in combinations(range(4), 2)]
     tm_subsets = [np.array(p) for p in combinations(range(4), 2)]
 
-    # every A_c as the solver builds it: the component-major batch and its
+    # every A_c as the solver builds it: the trial-major batch and its
     # aux block, gathered with one index from (N, C, T) arrays
     u = np.stack([u_c, u_c[::-1]], axis=1)
 
     def moments(tr, tm):
-        ix = np.ix_(np.arange(2), tr, tm)
-        return weighted_moments(u.transpose(1, 0, 2)[ix],
-                                z.transpose(1, 0, 2)[ix])
+        ix = np.ix_(tr, np.arange(2), tm)
+        return weighted_moments(u[ix], z[ix])
 
     want = moments(full_tr, full_tm)
     got = np.mean([moments(tr, tm)
@@ -326,7 +325,7 @@ def test_7_minibatch_estimators_are_unbiased():
         sub = z[tr]
         src = np.einsum("c,nct->nt", w[0], sub)
         _, grad_s, _ = batch_loss_grads(model, src, labels[tr, 0], fm)
-        return compute_B([grad_s], sub[:, :, tm].transpose(1, 0, 2), tm)
+        return compute_B([grad_s], sub[:, :, tm], tm)
 
     want = coupling(full_tr, full_tm)
     got = np.mean([coupling(tr, tm)

@@ -106,6 +106,32 @@ def test_aux_exact_out_is_filled_in_place(g):
     assert np.all(want[0, 0, :3] == 50.0)
 
 
+@pytest.mark.parametrize("u_max", [1e8, 3.0, 49.0, np.inf])
+def test_aux_exact_clamps_every_weight_above_u_max(u_max):
+    # the clamp's pass is skipped only when no weight can exceed u_max:
+    # entries at fl(1/u_max) and fl(2/u_max) and 1-2 ulp either side, as
+    # the smallest |x| of their array, give the bytes of the clamp.  At
+    # u_max = 49, fl(1/fl(1/49)) > 49, so a skip decided by
+    # min |x| >= 1/u_max would leave a weight above u_max
+    rows = []
+    for edge in (1.0 / u_max, 2.0 / u_max):
+        for shift in (-2, -1, 0, 1, 2):
+            v = edge
+            for _ in range(abs(shift)):
+                v = np.nextafter(v, np.inf if shift > 0 else -np.inf)
+            rows.append([v, -v, 7.0])
+    x = np.array(rows)
+    # at u_max = inf the entries beside 0 are subnormal: 1/|x| overflows
+    with np.errstate(divide="ignore", over="ignore"):
+        want = np.minimum(1.0 / np.abs(x), u_max)
+        for row, want_row in zip(x, want):
+            sums = np.zeros(2)
+            for got in (aux_exact(row, u_max),
+                        aux_exact(row, u_max, sums=sums),
+                        aux_exact(row, u_max, out=row.copy(), sums=sums)):
+                assert got.tobytes() == want_row.tobytes()
+
+
 # --- the variational identity behind the laplace weights ---
 
 def test_laplace_variational_identity():

@@ -226,6 +226,26 @@ def test_long_trial_product_does_not_depend_on_blas_threads():
     assert outs[0] and outs[0] == outs[1]
 
 
+# B of one head's gradient on an 8 x 10 x 10000 trial-major batch; prints
+# its hex bytes
+_COUPLING = """
+import numpy as np
+from mtsica.unmixing import compute_B
+rng = np.random.default_rng(0)
+batch = rng.laplace(size=(8, 10, 10000))
+grad = rng.normal(size=(8, 10000))
+print(compute_B([grad], batch, slice(None)).tobytes().hex())
+"""
+
+
+def test_coupling_does_not_depend_on_blas_threads():
+    # B sums one 10 x 10000 matrix-vector product a trial; the one
+    # (10, 80000) product of a component-major copy of this batch runs
+    # threaded and gave other bytes under 2 threads than under 1
+    outs = _child_outputs(_COUPLING)
+    assert outs[0] and outs[0] == outs[1]
+
+
 # a head per channel scored on 13 x 8001 trials; prints each score's hex
 _EVAL_SCORES = """
 import numpy as np
@@ -314,7 +334,6 @@ def test_stochastic_fit_matches_reference_loop(eta_a):
     opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta)
             for m in models]
     aux = aux_exact(np.matmul(state.w, z), cfg.u_max)
-    aux_t, z_t = aux.transpose(1, 0, 2), z.transpose(1, 0, 2)
 
     def snapshot(k):
         x = np.matmul(state.w, z)
@@ -345,15 +364,14 @@ def test_stochastic_fit_matches_reference_loop(eta_a):
                                           labels[trials, m], FM16L,
                                           need_grad_s=False)
             model.theta = optimizer_step(opt, model.theta, grad, cfg.mu)
-        ix = np.ix_(np.arange(c_dim), trials, times)
-        batch = z_t[ix]                              # (C, n, tau)
-        x = state.w @ batch.reshape(c_dim, -1)
+        ix = np.ix_(trials, np.arange(c_dim), times)
+        batch = z[ix]                                # (n, C, tau)
+        x = np.matmul(state.w, batch)
         if eta_a == np.inf:
             u_batch = aux_exact(x, cfg.u_max)
         else:
-            u_batch = aux_proximal(x, aux_t[ix].reshape(c_dim, -1),
-                                   cfg.eta_a, cfg.u_max)
-        aux_t[ix] = u_batch.reshape(batch.shape)
+            u_batch = aux_proximal(x, aux[ix], cfg.eta_a, cfg.u_max)
+        aux[ix] = u_batch
         grads = [batch_loss_grads(model, sources[m], labels[trials, m],
                                   FM16L)[1]
                  for m, model in enumerate(models)]
@@ -399,13 +417,8 @@ def test_full_batch_fit_matches_reference_loop(eta_a):
               for s in ds.targets]
     opts = [make_optimizer(cfg.optimizer, cfg.eta_p, m.theta)
             for m in models]
-    batch = np.ascontiguousarray(z.transpose(1, 0, 2))        # (C, N, T)
-
     def fresh_sources():
-        return state.w @ batch.reshape(c_dim, -1)
-
-    def as_nct(u):
-        return u.reshape(batch.shape).transpose(1, 0, 2)
+        return np.matmul(state.w, z)
 
     def snapshot(k, u):
         x = np.matmul(state.w, z)
@@ -424,8 +437,8 @@ def test_full_batch_fit_matches_reference_loop(eta_a):
                 float(amari_distance(state.w, mixing)))
 
     aux = aux_exact(fresh_sources(), cfg.u_max)       # (C, N*T)
-    want_aux = {0: as_nct(aux).copy()}
-    want = [snapshot(0, as_nct(aux))]
+    want_aux = {0: aux.copy()}
+    want = [snapshot(0, aux)]
     for k in range(1, cfg.iterations + 1):
         head_sources = np.matmul(state.w[:1], z)[:, 0]
         _, _, grad = batch_loss_grads(models[0], head_sources, labels[:, 0],
@@ -439,13 +452,13 @@ def test_full_batch_fit_matches_reference_loop(eta_a):
             aux = aux_proximal(x, aux, cfg.eta_a, cfg.u_max)
         grad_s = batch_loss_grads(models[0], head_sources, labels[:, 0],
                                   FM16L)[1]
-        b_mat = compute_B([grad_s], batch, slice(None))
-        a_set = weighted_moments(aux, batch)
+        b_mat = compute_B([grad_s], z, slice(None))
+        a_set = weighted_moments(aux, z)
         state = cyclic_sweep(state, a_set.__getitem__, b_mat, cfg.eta_u,
                              cfg.lam)
-        want_aux[k] = as_nct(aux).copy()
+        want_aux[k] = aux.copy()
         if k % cfg.trace_every == 0 or k == cfg.iterations:
-            want.append(snapshot(k, as_nct(aux)))
+            want.append(snapshot(k, aux))
 
     assert np.array_equal(res.w_state.w, state.w)
     assert np.array_equal(res.models[0].theta, models[0].theta)
@@ -675,20 +688,29 @@ def test_proximal_iterates_settle(tmp_path):
 # --- memory and blocking of the full-dataset passes ---
 
 @pytest.mark.parametrize("fit, eta_a, bound", [
-    (fit_stochastic, np.inf, 1.2), (fit_full_batch, np.inf, 3.7),
-    (fit_stochastic, 0.5, 2.2), (fit_full_batch, 0.5, 4.7)],
-    ids=["fit_stochastic-1.2", "fit_full_batch-3.7",
-         "fit_stochastic-proximal-2.2", "fit_full_batch-proximal-4.7"])
+    (fit_stochastic, np.inf, 1.2), (fit_full_batch, np.inf, 2.7),
+    (fit_stochastic, 0.5, 2.2), (fit_full_batch, 0.5, 3.7),
+    ("multi_trial", np.inf, 0.6)],
+    ids=["fit_stochastic-1.2", "fit_full_batch-2.7",
+         "fit_stochastic-proximal-2.2", "fit_full_batch-proximal-3.7",
+         "multi_trial-full_batch-0.6"])
 def test_fit_holds_no_dataset_size_scratch(fit, eta_a, bound):
     # the exact step keeps no aux store: beside the signals a stochastic
-    # fit holds only minibatch-size arrays, a full batch fit the
-    # component-major batch and its heads' features; the snapshots walk
-    # blocks of trials (4 blocks here).  The proximal step adds its store
-    # and only block-size Newton temporaries.  Measured peaks: 0.71 and
-    # 3.17 (exact), 1.71 and 4.17 (proximal).
-    ds, mixing = small_sup(n=400, c=6, t=256, m=2)
-    cfg = sup_config(iterations=6, trace_every=2, eta_p=1e-6, lam=3e-5,
-                     batch_trials=32, batch_times=64, eta_a=eta_a)
+    # fit holds only minibatch-size arrays, a full batch fit only its
+    # heads' features, as the A_c pass reads the signals in place; the
+    # snapshots walk blocks of trials (4 blocks here).  The proximal step
+    # adds its store and only block-size Newton temporaries.  Measured
+    # peaks: 0.71 and 2.17 (exact), 1.71 and 3.17 (proximal), and 0.45
+    # for an unsupervised full batch fit of the multi_trial defaults
+    # (80 x 10 x 1000), which held 1.45 with a component-major copy.
+    if fit == "multi_trial":
+        ds, mixing = gen_dataset("multi_trial", 0)
+        fit, cfg = fit_full_batch, SolverConfig(iterations=3, eta_u=np.inf)
+    else:
+        ds, mixing = small_sup(n=400, c=6, t=256, m=2)
+        cfg = sup_config(iterations=6, trace_every=2, eta_p=1e-6,
+                         lam=3e-5, batch_trials=32, batch_times=64,
+                         eta_a=eta_a)
     tracemalloc.start()
     try:
         fit(ds, cfg, ground_truth=mixing)

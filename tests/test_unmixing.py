@@ -16,7 +16,8 @@ from mtsica.supervision import (FeatureMapConfig, SupervisedTargetModel,
 from mtsica.synthgen import gen_dataset
 from mtsica.unmixing import (FactorizationError, UnmixingState, compute_B,
                              cyclic_sweep, make_a_provider, row_update)
-from oracles import compute_A_c, per_iteration_objective, weighted_moments
+from oracles import (component_major_pass, compute_A_c,
+                     per_iteration_objective, weighted_moments)
 
 
 def full_idx(n):
@@ -98,10 +99,10 @@ def test_a_c_symmetric_psd():
     assert np.linalg.eigvalsh(a).min() > -1e-12
 
 
-def component_major(x, trials, times):
+def trial_major(x, trials, times):
     """The solver's batch layout: ``x[trials][:, :, times]`` of an
-    (N, C, T) array as one C-contiguous (C, n, tau) array."""
-    return x.transpose(1, 0, 2)[np.ix_(np.arange(x.shape[1]), trials, times)]
+    (N, C, T) array, one C-contiguous (n, C, tau) array."""
+    return np.take(x[trials], times, axis=2)
 
 
 def test_a_provider_matches_direct_computation():
@@ -110,8 +111,8 @@ def test_a_provider_matches_direct_computation():
     u = rng.uniform(0.1, 2.0, size=(4, 3, 7))
     trials = np.array([1, 3])
     times = np.array([0, 2, 5])
-    u_batch = component_major(u, trials, times).reshape(3, -1)
-    a_of = make_a_provider(np.eye(3), component_major(z, trials, times),
+    u_batch = trial_major(u, trials, times).transpose(1, 0, 2).reshape(3, -1)
+    a_of = make_a_provider(np.eye(3), trial_major(z, trials, times),
                            lambda x, start, stop: u_batch[:, start:stop])
     for c in range(3):
         want = compute_A_c(u[:, c, :], z, trials, times)
@@ -132,8 +133,8 @@ def test_blocked_a_pass_matches_per_row_oracle(c_dim, cols):
     w = np.eye(c_dim) + 0.3 * rng.normal(size=(c_dim, c_dim))
     u = aux_exact(np.matmul(w, z), u_max=2.0)
     assert np.any(u == 2.0) and np.any(u < 2.0)
-    a_set = weighted_moments(component_major(u, trials, times),
-                             component_major(z, trials, times))
+    a_set = weighted_moments(trial_major(u, trials, times),
+                             trial_major(z, trials, times))
     assert a_set.shape == (c_dim, c_dim, c_dim)
     for c in range(c_dim):
         want = compute_A_c(u[:, c, :], z, trials, times)
@@ -149,7 +150,7 @@ def test_exact_pass_matches_weights_of_the_whole_batch(c_dim, cols):
     # one-column last block too), and the sums of |x| and of the bound at
     # those weights; the step sees consecutive blocks of the columns
     rng = np.random.default_rng(cols + c_dim)
-    batch = rng.laplace(size=(c_dim, cols))
+    batch = rng.laplace(size=(c_dim, cols))[None]    # one trial
     w = np.eye(c_dim) + 0.3 * rng.normal(size=(c_dim, c_dim))
     x = w @ batch
     ax = np.abs(x)
@@ -179,8 +180,8 @@ def test_exact_pass_sums_stay_finite_at_u_max_inf():
     # an exact zero in W z has an infinite weight, but the bound at it is
     # |x| = 0: no 0 * inf reaches the sums
     rng = np.random.default_rng(5)
-    batch = rng.laplace(size=(3, 4001))
-    batch[:, 17] = 0.0
+    batch = rng.laplace(size=(1, 3, 4001))
+    batch[0, :, 17] = 0.0
     w = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
     sums = np.zeros(2)
     with np.errstate(invalid="ignore"):        # 0 * inf inside the A_c
@@ -189,6 +190,36 @@ def test_exact_pass_sums_stay_finite_at_u_max_inf():
     assert np.all(np.isfinite(sums))
     np.testing.assert_allclose(sums, [np.abs(w @ batch).sum()] * 2,
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("c_dim", [3, 10])
+@pytest.mark.parametrize("n, tau", [
+    (3, 3999), (2, 4001), (1, 4001), (2, 8001), (1, 12345), (2, 12345),
+    (1143, 7), (5, 800)])
+def test_trial_major_pass_matches_component_major_oracle(c_dim, n, tau):
+    # the pass copies each block out of the trial-major batch (a partial
+    # trial, whole trials, a partial trial) and gives every A_c and sum
+    # the bits of the pass over a component-major copy: blocks that start
+    # and end mid-trial, trials longer than a block, one-column last
+    # blocks (1x4001, 1143x7) and blocks of whole trials (5x800)
+    rng = np.random.default_rng(n * tau + c_dim)
+    batch = rng.laplace(size=(n, c_dim, tau))
+    w = np.eye(c_dim) + 0.3 * rng.normal(size=(c_dim, c_dim))
+    weights = rng.uniform(0.1, 2.0, size=(c_dim, n * tau))
+    sums = {}
+
+    def steps(key):
+        sums[key] = np.zeros(2)
+        return [lambda x, start, stop: aux_exact(x, 1.0, out=x,
+                                                 sums=sums[key]),
+                lambda x, start, stop: weights[:, start:stop]]
+
+    for got, want in zip(steps("trial"), steps("component")):
+        a_of = make_a_provider(w, batch, got)
+        a_set = component_major_pass(w, batch, want)
+        for c in range(c_dim):
+            assert a_of(c).tobytes() == a_set[c].tobytes()
+    assert sums["trial"].tobytes() == sums["component"].tobytes()
 
 
 def test_a_c_subset_average_is_unbiased():
@@ -212,7 +243,7 @@ def coupling(w, models, cfg, z, labels, trials, times):
     grad_s = [batch_loss_grads(model, np.einsum("c,nct->nt", w[m], sub),
                                labels[trials, m], cfg)[1]
               for m, model in enumerate(models)]
-    return compute_B(grad_s, component_major(z, trials, times), times)
+    return compute_B(grad_s, trial_major(z, trials, times), times)
 
 
 def test_b_empty_models_is_zero():
@@ -445,7 +476,7 @@ def test_sweep_carries_logdet_and_read_only_w():
     # each row update adds log r_c instead of refactoring W
     rng = np.random.default_rng(16)
     c_dim = 5
-    batch = rng.laplace(size=(c_dim, 40, 30))
+    batch = rng.laplace(size=(c_dim, 40, 30)).transpose(1, 0, 2)
     a_set = weighted_moments(rng.uniform(0.5, 2.0, size=batch.shape), batch)
     st = UnmixingState.from_matrix(np.eye(c_dim)
                                    + 0.3 * rng.normal(size=(c_dim, c_dim)))
@@ -502,8 +533,7 @@ def test_sweep_converges_then_stalls():
     rng = np.random.default_rng(16)
     z = rng.normal(size=(3, 3, 50))
     u = np.ones((3, 3, 50))
-    a_of = weighted_moments(u.transpose(1, 0, 2),
-                            z.transpose(1, 0, 2)).__getitem__
+    a_of = weighted_moments(u, z).__getitem__
     st = UnmixingState.from_matrix(np.eye(3))
     for _ in range(400):
         st = cyclic_sweep(st, a_of, np.zeros((3, 3)), np.inf, 0.0)
